@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <set>
 
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
@@ -47,11 +48,6 @@ ClusterScheduler::ClusterScheduler(const ClusterParams& params)
   if (params_.mix.empty()) params_.mix = default_mix();
   const auto chips = static_cast<std::size_t>(cluster_.chip_count());
   chip_owner_.assign(chips, -1);
-  const auto racks = static_cast<std::size_t>(cluster_.rack_count());
-  rack_free_.assign(racks, cluster_.chips_per_rack());
-  rack_largest_.assign(racks, cluster_.chips_per_rack());
-  total_free_ = cluster_.chip_count();
-  placeable_sum_ = cluster_.chip_count();
 }
 
 // ---------------------------------------------------------------------------
@@ -62,30 +58,14 @@ void ClusterScheduler::fold_digest(std::uint64_t v) {
   report_.digest = fabric::hash_mix(report_.digest, v);
 }
 
-void ClusterScheduler::mark_rack_dirty(topo::RackId rack) {
-  dirty_racks_.insert(rack);
-}
-
-void ClusterScheduler::refresh_racks() {
-  for (const topo::RackId rack : dirty_racks_) {
-    const auto r = static_cast<std::size_t>(rack);
-    total_free_ -= rack_free_[r];
-    placeable_sum_ -= rack_largest_[r];
-    rack_free_[r] = alloc_.free_in_rack(rack);
-    rack_largest_[r] = alloc_.largest_placeable(rack).size();
-    total_free_ += rack_free_[r];
-    placeable_sum_ += rack_largest_[r];
-  }
-  dirty_racks_.clear();
-}
-
 void ClusterScheduler::accumulate_metrics(TimePoint to) {
-  refresh_racks();
   const double dt = (to - metrics_at_).to_seconds();
   if (dt > 0.0) {
-    const double free = static_cast<double>(total_free_);
-    const double stranding =
-        total_free_ == 0 ? 0.0 : 1.0 - static_cast<double>(placeable_sum_) / free;
+    // The allocator's per-rack summaries recompute only racks whose chips
+    // changed state since the last event.
+    const topo::FragmentationReport frag = alloc_.fragmentation();
+    const double free = static_cast<double>(frag.total_free);
+    const double stranding = frag.stranding();
     const double chips = static_cast<double>(cluster_.chip_count());
     const double failed = static_cast<double>(report_.fatal_chip_failures);
     const double util = (chips - free - failed) / chips;
@@ -164,29 +144,23 @@ bool ClusterScheduler::place_contiguous(Job& job) {
   for (const topo::TpuId c : job.chips) {
     chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
   }
-  mark_rack_dirty(s->rack);
   ++report_.placed_contiguous;
   return true;
 }
 
 std::vector<ClusterScheduler::Fragment> ClusterScheduler::harvest(
     std::int32_t volume) {
-  refresh_racks();
   // Racks in (free descending, rack ascending) order: the fewest fragments
   // cover the volume, and ties resolve identically on every run.
-  std::vector<topo::RackId> order;
+  std::vector<std::pair<std::int32_t, topo::RackId>> order;
   for (topo::RackId r = 0; r < cluster_.rack_count(); ++r) {
-    if (rack_free_[static_cast<std::size_t>(r)] > 0) order.push_back(r);
+    const std::int32_t free = alloc_.free_in_rack(r);
+    if (free > 0) order.emplace_back(-free, r);
   }
-  std::sort(order.begin(), order.end(), [this](topo::RackId a, topo::RackId b) {
-    const std::int32_t fa = rack_free_[static_cast<std::size_t>(a)];
-    const std::int32_t fb = rack_free_[static_cast<std::size_t>(b)];
-    if (fa != fb) return fa > fb;
-    return a < b;
-  });
+  std::sort(order.begin(), order.end());
   std::vector<Fragment> out;
   std::int32_t remaining = volume;
-  for (const topo::RackId rack : order) {
+  for (const auto& [neg_free, rack] : order) {
     if (remaining <= 0) break;
     if (out.size() >= params_.max_fragments) break;
     Fragment f;
@@ -203,10 +177,7 @@ std::vector<ClusterScheduler::Fragment> ClusterScheduler::harvest(
       f.chips.push_back(chip);
       --remaining;
     }
-    if (!f.chips.empty()) {
-      mark_rack_dirty(rack);
-      out.push_back(std::move(f));
-    }
+    if (!f.chips.empty()) out.push_back(std::move(f));
   }
   if (remaining > 0) {
     unharvest(out);
@@ -220,7 +191,6 @@ void ClusterScheduler::unharvest(const std::vector<Fragment>& fragments) {
     for (const topo::TpuId chip : f.chips) {
       cluster_.set_state(chip, topo::ChipState::kFree);
     }
-    mark_rack_dirty(f.rack);
   }
 }
 
@@ -258,7 +228,6 @@ void ClusterScheduler::take_chips(Job& job, const std::vector<Fragment>& fragmen
 void ClusterScheduler::release_placement(Job& job) {
   for (const topo::TpuId chip : job.chips) {
     chip_owner_[static_cast<std::size_t>(chip)] = -1;
-    mark_rack_dirty(cluster_.rack_of(chip));
   }
   if (job.slice >= 0) {
     alloc_.release(job.slice);  // failed chips stay failed
@@ -283,28 +252,65 @@ void ClusterScheduler::release_placement(Job& job) {
 // Admission.
 // ---------------------------------------------------------------------------
 
+void ClusterScheduler::enqueue(const Job& job) {
+  queue_[job.shape].push_back(Waiting{next_seq_++, job.id});
+}
+
 void ClusterScheduler::try_admit() {
+  // Admission contract (DESIGN.md §10).  Jobs are considered in enqueue
+  // order.  While they are, chips only leave the free set: a placement or
+  // harvest consumes them, and a failed harvest puts back exactly what it
+  // took.  So a shape whose contiguous placement failed cannot place later
+  // in the same call, and a harvest that failed at some volume fails for
+  // every volume at or above it.  A job whose shape is dead on both counts
+  // has no side effect when reached, so the scan visits only shapes still
+  // alive — merging their FIFOs by enqueue sequence — and stops when none
+  // is left.
   const TimePoint now = engine_.now();
+  constexpr std::uint64_t kStarted = std::numeric_limits<std::uint64_t>::max();
+  struct ShapeScan {
+    std::int32_t volume{0};
+    std::deque<Waiting>* fifo{nullptr};
+    std::size_t scanned{0};  ///< prefix of *fifo visited this call
+    bool failed_contiguous{false};
+  };
   struct MorphCandidate {
-    std::uint64_t id{0};
+    Waiting* slot{nullptr};  ///< stable: nothing is enqueued during the call
     std::vector<Fragment> fragments;
     std::uint32_t ports{0};
     std::vector<routing::Demand> demands;
   };
+  std::vector<ShapeScan> shapes;
+  for (auto& [shape, fifo] : queue_) {
+    if (!fifo.empty()) shapes.push_back({shape.size(), &fifo});
+  }
   std::vector<MorphCandidate> batch;
-  std::vector<std::uint64_t> still_queued;
-  std::set<topo::Shape> failed_contiguous;
   std::int32_t failed_morph_volume = std::numeric_limits<std::int32_t>::max();
   const bool can_morph = params_.policy == SchedulerPolicy::kPhotonicMorph &&
                          params_.morph_enabled;
+  const auto started = [&](Waiting& slot, Job& job) {
+    start_job(job, now);
+    slot.id = kStarted;
+  };
 
-  for (const std::uint64_t id : queue_) {
-    Job& job = jobs_.at(id);
-    if (failed_contiguous.count(job.shape) == 0 && place_contiguous(job)) {
-      start_job(job, now);
+  for (;;) {
+    // The earliest-enqueued unvisited job among shapes still alive.
+    ShapeScan* next = nullptr;
+    for (ShapeScan& sc : shapes) {
+      if (sc.scanned == sc.fifo->size()) continue;
+      if (sc.failed_contiguous && !(can_morph && sc.volume < failed_morph_volume)) continue;
+      if (next == nullptr || (*sc.fifo)[sc.scanned].seq < (*next->fifo)[next->scanned].seq) {
+        next = &sc;
+      }
+    }
+    if (next == nullptr) break;
+    Waiting& slot = (*next->fifo)[next->scanned++];
+    Job& job = jobs_.at(slot.id);
+    if (!next->failed_contiguous && place_contiguous(job)) {
+      started(slot, job);
       continue;
     }
-    failed_contiguous.insert(job.shape);
+    next->failed_contiguous = true;
     const std::int32_t volume = job.shape.size();
     if (can_morph && volume < failed_morph_volume) {
       std::vector<Fragment> frags = harvest(volume);
@@ -312,7 +318,7 @@ void ClusterScheduler::try_admit() {
         const auto ports = static_cast<std::uint32_t>(frags.size());
         if (ocs_.reserve(ports)) {
           MorphCandidate c;
-          c.id = id;
+          c.slot = &slot;
           c.fragments = std::move(frags);
           c.ports = ports;
           c.demands = stitch_demands(c.fragments);
@@ -323,7 +329,6 @@ void ClusterScheduler::try_admit() {
       }
       failed_morph_volume = std::min(failed_morph_volume, volume);
     }
-    still_queued.push_back(id);
   }
 
   // Plan the batch's stitch rings.  A lone morph goes through the
@@ -349,14 +354,13 @@ void ClusterScheduler::try_admit() {
   }
   for (std::size_t i = 0; i < batch.size(); ++i) {
     MorphCandidate& c = batch[i];
-    Job& job = jobs_.at(c.id);
     const bool ok = c.demands.empty() || !reports[i].placed.empty();
     if (!ok) {
       unharvest(c.fragments);
       ocs_.release(c.ports);
-      still_queued.push_back(c.id);
       continue;
     }
+    Job& job = jobs_.at(c.slot->id);
     take_chips(job, c.fragments);
     job.morphed = true;
     job.ocs_ports = c.ports;
@@ -364,16 +368,17 @@ void ClusterScheduler::try_admit() {
       job.stitch_circuits.push_back(p.id);
     }
     ++report_.placed_morphed;
-    start_job(job, now);
+    started(*c.slot, job);
   }
 
-  // Preserve arrival order among the survivors.
-  std::set<std::uint64_t> keep(still_queued.begin(), still_queued.end());
-  std::deque<std::uint64_t> next;
-  for (const std::uint64_t id : queue_) {
-    if (keep.count(id) > 0) next.push_back(id);
+  // Drop the started jobs from each visited prefix in place; the waiting
+  // ones keep their order and the unvisited suffixes are untouched.
+  for (const ShapeScan& sc : shapes) {
+    const auto visited = sc.fifo->begin() + static_cast<std::ptrdiff_t>(sc.scanned);
+    sc.fifo->erase(std::remove_if(sc.fifo->begin(), visited,
+                                  [](const Waiting& w) { return w.id == kStarted; }),
+                   visited);
   }
-  queue_ = std::move(next);
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +465,6 @@ void ClusterScheduler::apply_fault(const FaultEvent& ev) {
     if (cluster_.state(chip) == topo::ChipState::kFailed) continue;
     cluster_.set_state(chip, topo::ChipState::kFailed);
     ++report_.fatal_chip_failures;
-    mark_rack_dirty(cluster_.rack_of(chip));
   }
 }
 
@@ -540,8 +544,6 @@ bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
   if (job.slice >= 0) {
     alloc_.release(job.slice);
     job.slice = -1;
-    const auto rack = cluster_.rack_of(job.chips.front());
-    mark_rack_dirty(rack);
   }
   for (const topo::TpuId d : dead) {
     chip_owner_[static_cast<std::size_t>(d)] = -1;
@@ -552,7 +554,6 @@ bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
   for (const topo::TpuId c : job.chips) {
     cluster_.set_state(c, topo::ChipState::kAllocated);
     chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
-    mark_rack_dirty(cluster_.rack_of(c));
   }
   job.morphed = true;
   ++report_.respares;
@@ -627,7 +628,6 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   for (const topo::TpuId c : job.chips) {
     cluster_.set_state(c, topo::ChipState::kAllocated);
     chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
-    mark_rack_dirty(cluster_.rack_of(c));
   }
   job.morphed = true;
   ++job.morphs;
@@ -653,7 +653,6 @@ void ClusterScheduler::shrink(Job& job, const std::vector<topo::TpuId>& dead) {
   }
   for (const topo::TpuId d : dead) {
     chip_owner_[static_cast<std::size_t>(d)] = -1;
-    mark_rack_dirty(cluster_.rack_of(d));
   }
   job.chips = survivors;
   job.morphed = true;
@@ -691,7 +690,7 @@ void ClusterScheduler::requeue(Job& job) {
     jobs_.erase(job.id);
     return;
   }
-  queue_.push_back(job.id);
+  enqueue(job);
 }
 
 void ClusterScheduler::stall_and_resume(Job& job, Duration stall, bool state_loss,
@@ -893,8 +892,7 @@ void ClusterScheduler::admit_new_job(topo::Shape shape, Duration service) {
   report_.offered_work_chip_seconds +=
       static_cast<double>(job.original_volume) * service.to_seconds();
   const std::uint64_t id = job.id;
-  jobs_.emplace(id, std::move(job));
-  queue_.push_back(id);
+  enqueue(jobs_.emplace(id, std::move(job)).first->second);
   try_admit();
 }
 

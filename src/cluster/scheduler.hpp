@@ -47,7 +47,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -296,6 +295,12 @@ class ClusterScheduler {
     std::int32_t original_volume{0};
   };
 
+  /// A queue entry: the job and its enqueue sequence number.
+  struct Waiting {
+    std::uint64_t seq{0};
+    std::uint64_t id{0};
+  };
+
   /// One harvested fragment of a morph: free chips taken from one rack.
   struct Fragment {
     topo::RackId rack{0};
@@ -318,6 +323,7 @@ class ClusterScheduler {
   void on_completion(std::uint64_t id, std::uint32_t generation);
 
   // --- placement / admission ---
+  void enqueue(const Job& job);
   void try_admit();
   [[nodiscard]] bool place_contiguous(Job& job);
   [[nodiscard]] std::vector<Fragment> harvest(std::int32_t volume);
@@ -348,8 +354,6 @@ class ClusterScheduler {
   // --- bookkeeping ---
   void stall_and_resume(Job& job, Duration stall, bool state_loss, TimePoint at);
   void accumulate_metrics(TimePoint to);
-  void mark_rack_dirty(topo::RackId rack);
-  void refresh_racks();
   [[nodiscard]] Duration detection_delay(TimePoint at) const;
   /// Whether harvest/respare may take this chip now: false while the flap
   /// damper holds it in quarantine or probation (gray layer on only).
@@ -381,18 +385,13 @@ class ClusterScheduler {
   fault::FlapDamper damper_;
 
   std::map<std::uint64_t, Job> jobs_;  ///< ordered: deterministic iteration
-  std::deque<std::uint64_t> queue_;
+  /// Waiting jobs, one FIFO per shape; `seq` orders them across shapes
+  /// (arrival order, a requeued job at the back).
+  std::map<topo::Shape, std::deque<Waiting>> queue_;
+  std::uint64_t next_seq_{0};
   std::vector<std::int64_t> chip_owner_;  ///< -1 = none
   std::uint64_t next_job_id_{0};
   std::uint32_t running_{0};
-
-  // Per-rack fragmentation cache (satellite accounting, recomputed lazily
-  // for racks whose chips changed state).
-  std::vector<std::int32_t> rack_free_;
-  std::vector<std::int32_t> rack_largest_;
-  std::set<topo::RackId> dirty_racks_;
-  std::int32_t total_free_{0};
-  std::int32_t placeable_sum_{0};
 
   std::array<std::uint32_t, 64> tile_cursor_{};  ///< per-wafer stitch tiles
   TimePoint metrics_at_{};

@@ -252,7 +252,8 @@ struct ComponentWorkspace {
 
     fs.apply_to(fab, params.model.quarantine_threshold);
     const auto diagnoses = monitor.scan(fab, fs);
-    for (const fault::CircuitDiagnosis& d : diagnoses) {
+    for (std::size_t ordinal = 0; ordinal < diagnoses.size(); ++ordinal) {
+      const fault::CircuitDiagnosis& d = diagnoses[ordinal];
       ++r.degraded;
       if (d.health == fault::CircuitHealth::kDown) ++r.hard_down;
 
@@ -264,10 +265,13 @@ struct ComponentWorkspace {
         return monitor.diagnose(f, fs, id).health == fault::CircuitHealth::kHealthy;
       };
       if (params.settle_failure_probability > 0.0) {
-        // Per-(trial, circuit) oracle stream: deterministic regardless of
-        // how trials land on workers.
+        // Per-(trial, circuit) oracle stream keyed on the circuit's
+        // position in this trial's health scan.  The scan follows the
+        // baseline's creation order, which every trial rebuilds identically;
+        // d.id would not do, since it counts the circuits this worker's
+        // fabric created in earlier trials.
         const std::uint64_t oracle_seed = util::task_seed(
-            util::task_seed(params.seed, trial), 0x5e771e ^ d.id);
+            util::task_seed(params.seed, trial), 0x5e771e ^ ordinal);
         const double p = params.settle_failure_probability;
         opts.transient_failure = [oracle_seed, p](routing::RepairRung,
                                                   std::uint32_t attempt) {

@@ -525,14 +525,20 @@ ServingReport ServingSim::run() {
   for (const Replica& rep : replicas_) {
     report_.in_flight_at_end += rep.batch.size() + rep.queue.size();
   }
-  report_.p50 = Duration::seconds(lp::percentile(latencies_, 50.0));
-  report_.p99 = Duration::seconds(lp::percentile(latencies_, 99.0));
-  report_.p999 = Duration::seconds(lp::percentile(latencies_, 99.9));
-  if (!latencies_.empty()) {
-    report_.max_latency = Duration::seconds(
-        *std::max_element(latencies_.begin(), latencies_.end()));
-  } else {
-    report_.p50 = report_.p99 = report_.p999 = Duration::zero();
+  {
+    // One sorted copy serves every tail statistic; latencies_ itself stays
+    // in completion order for the report.  The copy is freed here, before
+    // the report is copied out, so the two never coexist at peak.
+    std::vector<double> sorted = latencies_;
+    std::sort(sorted.begin(), sorted.end());
+    report_.p50 = Duration::seconds(lp::percentile_sorted(sorted, 50.0));
+    report_.p99 = Duration::seconds(lp::percentile_sorted(sorted, 99.0));
+    report_.p999 = Duration::seconds(lp::percentile_sorted(sorted, 99.9));
+    if (!sorted.empty()) {
+      report_.max_latency = Duration::seconds(sorted.back());
+    } else {
+      report_.p50 = report_.p99 = report_.p999 = Duration::zero();
+    }
   }
   report_.host = host_.stats();
   report_.suppressed_repairs = damper_.stats().suppressed_repairs;

@@ -9,7 +9,8 @@ TpuCluster::TpuCluster(ClusterConfig config)
       rack_torus_{config.rack_shape},
       states_(static_cast<std::size_t>(config.racks) *
                   static_cast<std::size_t>(config.rack_shape.size()),
-              ChipState::kFree) {
+              ChipState::kFree),
+      rack_versions_(static_cast<std::size_t>(config.racks), 0) {
   assert(config.racks > 0);
 }
 

@@ -79,7 +79,18 @@ class TpuCluster {
   [[nodiscard]] std::vector<TpuId> server_chips(TpuId chip) const;
 
   [[nodiscard]] ChipState state(TpuId chip) const { return states_[static_cast<std::size_t>(chip)]; }
-  void set_state(TpuId chip, ChipState s) { states_[static_cast<std::size_t>(chip)] = s; }
+  /// Sets a chip's state; a real change bumps its rack's version.
+  void set_state(TpuId chip, ChipState s) {
+    ChipState& cur = states_[static_cast<std::size_t>(chip)];
+    if (cur == s) return;
+    cur = s;
+    ++rack_versions_[static_cast<std::size_t>(chip / chips_per_rack())];
+  }
+  /// Changes whenever any chip of `rack` changes state: consumers that
+  /// cache per-rack summaries (SliceAllocator) compare it to revalidate.
+  [[nodiscard]] std::uint64_t rack_version(RackId rack) const {
+    return rack_versions_[static_cast<std::size_t>(rack)];
+  }
 
   [[nodiscard]] std::vector<TpuId> chips_in_state(ChipState s) const;
   [[nodiscard]] std::vector<TpuId> free_chips_in_rack(RackId rack) const;
@@ -107,6 +118,7 @@ class TpuCluster {
   ClusterConfig config_;
   Torus rack_torus_;
   std::vector<ChipState> states_;
+  std::vector<std::uint64_t> rack_versions_;
 };
 
 }  // namespace lp::topo

@@ -1,6 +1,7 @@
 #include "topo/slice.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -32,24 +33,118 @@ bool Slice::spans_dimension(std::size_t d, const Shape& rack_shape) const {
 
 SliceAllocator::SliceAllocator(TpuCluster& cluster)
     : cluster_{cluster},
-      owner_(static_cast<std::size_t>(cluster.chip_count()), -1) {}
+      words_{(static_cast<std::size_t>(cluster.chips_per_rack()) + 63) / 64},
+      candidate_index_(static_cast<std::size_t>(cluster.chips_per_rack()), -1),
+      racks_(static_cast<std::size_t>(cluster.rack_count())),
+      free_bits_(racks_.size() * words_),
+      owner_(static_cast<std::size_t>(cluster.chip_count()), -1) {
+  // Candidate shapes in (volume descending, shape lexicographic ascending)
+  // order: largest_placeable() answers with the first one that fits.
+  const Shape& rs = cluster_.config().rack_shape;
+  std::vector<Shape> shapes;
+  for (std::int32_t sx = 1; sx <= rs[0]; ++sx) {
+    for (std::int32_t sy = 1; sy <= rs[1]; ++sy) {
+      for (std::int32_t sz = 1; sz <= rs[2]; ++sz) shapes.push_back(Shape{{sx, sy, sz}});
+    }
+  }
+  std::sort(shapes.begin(), shapes.end(), [](const Shape& a, const Shape& b) {
+    if (a.size() != b.size()) return a.size() > b.size();
+    return a.extent < b.extent;
+  });
 
-Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape shape) {
+  // One chip mask per (shape, row-major offset), in rack-torus bit order.
+  // The torus index is linear in the coordinates, so a shape's mask at an
+  // in-bounds offset is its mask at the origin shifted left by the
+  // offset's index.
+  const Torus& torus = cluster_.rack_torus();
+  std::size_t offset_count = 1;
+  for (std::size_t d = 0; d < kDims; ++d) {
+    offset_count *= static_cast<std::size_t>(rs[d] * (rs[d] + 1) / 2);
+  }
+  offsets_.reserve(offset_count);
+  masks_.assign(offset_count * words_, 0);
+  std::vector<std::uint64_t> origin(words_);
+  for (const Shape& shape : shapes) {
+    std::fill(origin.begin(), origin.end(), std::uint64_t{0});
+    for (std::int32_t dx = 0; dx < shape[0]; ++dx) {
+      for (std::int32_t dy = 0; dy < shape[1]; ++dy) {
+        for (std::int32_t dz = 0; dz < shape[2]; ++dz) {
+          const auto bit = static_cast<std::size_t>(torus.index(Coord{{dx, dy, dz}}));
+          origin[bit / 64] |= std::uint64_t{1} << (bit % 64);
+        }
+      }
+    }
+    Candidate c{shape, static_cast<std::uint32_t>(offsets_.size()), 0};
+    for (std::int32_t x = 0; x + shape[0] <= rs[0]; ++x) {
+      for (std::int32_t y = 0; y + shape[1] <= rs[1]; ++y) {
+        for (std::int32_t z = 0; z + shape[2] <= rs[2]; ++z) {
+          const Coord offset{{x, y, z}};
+          const auto shift = static_cast<std::size_t>(torus.index(offset));
+          const std::size_t word_shift = shift / 64;
+          const std::size_t bit_shift = shift % 64;
+          std::uint64_t* mask = &masks_[offsets_.size() * words_];
+          for (std::size_t w = word_shift; w < words_; ++w) {
+            mask[w] = origin[w - word_shift] << bit_shift;
+            if (bit_shift != 0 && w > word_shift) {
+              mask[w] |= origin[w - word_shift - 1] >> (64 - bit_shift);
+            }
+          }
+          offsets_.push_back(offset);
+          ++c.count;
+        }
+      }
+    }
+    candidate_index_[static_cast<std::size_t>(
+        torus.index(Coord{{shape[0] - 1, shape[1] - 1, shape[2] - 1}}))] =
+        static_cast<std::int32_t>(candidates_.size());
+    candidates_.push_back(c);
+  }
+}
+
+const SliceAllocator::Candidate* SliceAllocator::candidate(Shape shape) const {
   const Shape& rs = cluster_.config().rack_shape;
   for (std::size_t d = 0; d < kDims; ++d) {
-    if (offset[d] < 0 || offset[d] + shape[d] > rs[d])
-      return Err("slice does not fit in rack along dim " + std::to_string(d));
+    if (shape[d] < 1 || shape[d] > rs[d]) return nullptr;
   }
+  const std::int32_t i = candidate_index_[static_cast<std::size_t>(
+      cluster_.rack_torus().index(Coord{{shape[0] - 1, shape[1] - 1, shape[2] - 1}}))];
+  return &candidates_[static_cast<std::size_t>(i)];
+}
+
+const SliceAllocator::RackSummary& SliceAllocator::refresh(RackId rack) const {
+  RackSummary& s = racks_[static_cast<std::size_t>(rack)];
+  std::uint64_t* bits = &free_bits_[static_cast<std::size_t>(rack) * words_];
+  std::fill(bits, bits + words_, std::uint64_t{0});
+  const std::int32_t per = cluster_.chips_per_rack();
+  std::int32_t free = 0;
+  for (std::int32_t i = 0; i < per; ++i) {
+    if (cluster_.state(rack * per + i) != ChipState::kFree) continue;
+    bits[i / 64] |= std::uint64_t{1} << (i % 64);
+    ++free;
+  }
+  s.free = free;
+  s.version = cluster_.rack_version(rack);
+  return s;
+}
+
+std::int64_t SliceAllocator::first_fit(RackId rack, const Candidate& c) const {
+  if (summary(rack).free < c.shape.size()) return -1;
+  const std::uint64_t* bits = &free_bits_[static_cast<std::size_t>(rack) * words_];
+  for (std::uint32_t i = c.first; i < c.first + c.count; ++i) {
+    const std::uint64_t* mask = &masks_[static_cast<std::size_t>(i) * words_];
+    bool fits = true;
+    for (std::size_t w = 0; fits && w < words_; ++w) fits = (mask[w] & ~bits[w]) == 0;
+    if (fits) return i;
+  }
+  return -1;
+}
+
+SliceId SliceAllocator::place(RackId rack, Coord offset, Shape shape) {
   Slice s;
+  s.id = static_cast<SliceId>(slices_.size());
   s.rack = rack;
   s.offset = offset;
   s.shape = shape;
-  for (Coord c : s.coords()) {
-    const TpuId chip = cluster_.chip_at(rack, c);
-    if (cluster_.state(chip) != ChipState::kFree)
-      return Err("chip " + std::to_string(chip) + " is not free");
-  }
-  s.id = static_cast<SliceId>(slices_.size());
   for (Coord c : s.coords()) {
     const TpuId chip = cluster_.chip_at(rack, c);
     cluster_.set_state(chip, ChipState::kAllocated);
@@ -60,33 +155,49 @@ Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape sha
   return s.id;
 }
 
-Result<SliceId> SliceAllocator::allocate_in_rack(RackId rack, Shape shape) {
+Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape shape) {
   const Shape& rs = cluster_.config().rack_shape;
-  for (std::int32_t x = 0; x + shape[0] <= rs[0]; ++x) {
-    for (std::int32_t y = 0; y + shape[1] <= rs[1]; ++y) {
-      for (std::int32_t z = 0; z + shape[2] <= rs[2]; ++z) {
-        auto attempt = allocate_at(rack, Coord{{x, y, z}}, shape);
-        if (attempt) return attempt;
-      }
-    }
+  for (std::size_t d = 0; d < kDims; ++d) {
+    if (offset[d] < 0 || offset[d] + shape[d] > rs[d])
+      return Err("slice does not fit in rack along dim " + std::to_string(d));
+  }
+  const Slice probe{-1, rack, offset, shape};
+  for (Coord c : probe.coords()) {
+    const TpuId chip = cluster_.chip_at(rack, c);
+    if (cluster_.state(chip) != ChipState::kFree)
+      return Err("chip " + std::to_string(chip) + " is not free");
+  }
+  return place(rack, offset, shape);
+}
+
+Result<SliceId> SliceAllocator::allocate_in_rack(RackId rack, Shape shape) {
+  if (const Candidate* c = candidate(shape)) {
+    const std::int64_t at = first_fit(rack, *c);
+    if (at >= 0) return place(rack, offsets_[static_cast<std::size_t>(at)], shape);
   }
   return Err("no free region of the requested shape in rack " + std::to_string(rack));
 }
 
 Result<SliceId> SliceAllocator::allocate(Shape shape) {
   // Best-fit total order: racks by (free chips ascending, rack id
-  // ascending); a rack is skipped outright when its free count cannot cover
-  // the shape.  See the header for the full contract.
-  std::vector<std::pair<std::int32_t, RackId>> order;
-  order.reserve(static_cast<std::size_t>(cluster_.rack_count()));
-  for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
-    const std::int32_t free = free_in_rack(rack);
-    if (free >= shape.size()) order.emplace_back(free, rack);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [free, rack] : order) {
-    auto attempt = allocate_in_rack(rack, shape);
-    if (attempt) return attempt;
+  // ascending); a rack is skipped outright when its free count — or its
+  // up-to-date largest placeable volume — cannot cover the shape.  See the
+  // header for the full contract.
+  if (const Candidate* c = candidate(shape)) {
+    const std::int32_t volume = shape.size();
+    std::vector<std::pair<std::int32_t, RackId>> order;
+    order.reserve(racks_.size());
+    for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
+      const RackSummary& s = summary(rack);
+      if (s.free < volume) continue;
+      if (s.largest_version == s.version && s.largest.size() < volume) continue;
+      order.emplace_back(s.free, rack);
+    }
+    std::sort(order.begin(), order.end());
+    for (const auto& [free, rack] : order) {
+      const std::int64_t at = first_fit(rack, *c);
+      if (at >= 0) return place(rack, offsets_[static_cast<std::size_t>(at)], shape);
+    }
   }
   return Err("no free region of the requested shape in any rack");
 }
@@ -122,64 +233,23 @@ std::vector<SliceId> SliceAllocator::active_slices() const {
 }
 
 std::int32_t SliceAllocator::free_in_rack(RackId rack) const {
-  std::int32_t count = 0;
-  const std::int32_t per = cluster_.chips_per_rack();
-  for (std::int32_t i = 0; i < per; ++i) {
-    if (cluster_.state(rack * per + i) == ChipState::kFree) ++count;
-  }
-  return count;
+  return summary(rack).free;
 }
 
 Shape SliceAllocator::largest_placeable(RackId rack) const {
-  const Shape& rs = cluster_.config().rack_shape;
-  // Free-cell occupancy of the rack, indexed by the rack torus.
-  const std::int32_t per = cluster_.chips_per_rack();
-  std::vector<bool> free_cell(static_cast<std::size_t>(per));
-  std::int32_t free_total = 0;
-  for (std::int32_t i = 0; i < per; ++i) {
-    const bool f = cluster_.state(rack * per + i) == ChipState::kFree;
-    free_cell[static_cast<std::size_t>(i)] = f;
-    if (f) ++free_total;
-  }
-  if (free_total == 0) return Shape{{0, 0, 0}};
-
-  // Candidate shapes in (volume descending, shape lexicographic ascending)
-  // order; the first placeable candidate is the answer.
-  std::vector<Shape> candidates;
-  for (std::int32_t sx = 1; sx <= rs[0]; ++sx) {
-    for (std::int32_t sy = 1; sy <= rs[1]; ++sy) {
-      for (std::int32_t sz = 1; sz <= rs[2]; ++sz) {
-        candidates.push_back(Shape{{sx, sy, sz}});
+  summary(rack);  // revalidate the free bitset first
+  RackSummary& s = racks_[static_cast<std::size_t>(rack)];
+  if (s.largest_version != s.version) {
+    s.largest = Shape{{0, 0, 0}};
+    for (const Candidate& c : candidates_) {
+      if (first_fit(rack, c) >= 0) {
+        s.largest = c.shape;
+        break;
       }
     }
+    s.largest_version = s.version;
   }
-  std::sort(candidates.begin(), candidates.end(), [](const Shape& a, const Shape& b) {
-    if (a.size() != b.size()) return a.size() > b.size();
-    return a.extent < b.extent;
-  });
-
-  const Torus& torus = cluster_.rack_torus();
-  for (const Shape& s : candidates) {
-    if (s.size() > free_total) continue;
-    for (std::int32_t x = 0; x + s[0] <= rs[0]; ++x) {
-      for (std::int32_t y = 0; y + s[1] <= rs[1]; ++y) {
-        for (std::int32_t z = 0; z + s[2] <= rs[2]; ++z) {
-          bool fits = true;
-          for (std::int32_t dx = 0; fits && dx < s[0]; ++dx) {
-            for (std::int32_t dy = 0; fits && dy < s[1]; ++dy) {
-              for (std::int32_t dz = 0; fits && dz < s[2]; ++dz) {
-                const std::int32_t idx =
-                    torus.index(Coord{{x + dx, y + dy, z + dz}});
-                fits = free_cell[static_cast<std::size_t>(idx)];
-              }
-            }
-          }
-          if (fits) return s;
-        }
-      }
-    }
-  }
-  return Shape{{0, 0, 0}};
+  return s.largest;
 }
 
 FragmentationReport SliceAllocator::fragmentation() const {

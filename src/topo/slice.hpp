@@ -70,6 +70,18 @@ struct FragmentationReport {
 };
 
 /// Tracks slice placement within a cluster and answers "who owns chip X".
+///
+/// Fit tests are word-wise ANDs: construction enumerates every candidate
+/// shape of the rack in (volume descending, shape ascending) order together
+/// with one chip mask per row-major offset, and each rack's free chips are
+/// kept as a bitset of the same layout.  The allocator owns the per-rack
+/// summaries (free bitset, free count, largest placeable shape) and
+/// revalidates them lazily against TpuCluster::rack_version(), so any state
+/// change — through this allocator or straight on the cluster — is seen on
+/// the next query.  The cluster must outlive the allocator and must not be
+/// replaced wholesale (assigned over) while the allocator is bound to it.
+/// The summaries are caches behind const queries: an allocator is not safe
+/// to query from several threads at once.
 class SliceAllocator {
  public:
   explicit SliceAllocator(TpuCluster& cluster);
@@ -91,6 +103,8 @@ class SliceAllocator {
   /// allocators whose racks hold identical free/allocated/failed sets place
   /// the next slice identically, no matter what alloc/release history
   /// produced those sets (permutation-invariance regression in topo_test).
+  /// Racks whose free count, or whose up-to-date largest placeable volume,
+  /// is below the shape's volume are skipped without probing.
   Result<SliceId> allocate(Shape shape);
 
   /// The within-rack leg of allocate()'s order: first row-major offset at
@@ -111,18 +125,59 @@ class SliceAllocator {
 
   /// Largest-volume shape placeable entirely on free chips of `rack`
   /// (ties broken by lexicographically smallest shape); {0,0,0} if none.
+  /// Cached per rack until the rack's chips change state.
   [[nodiscard]] Shape largest_placeable(RackId rack) const;
 
-  /// Full free/fragmentation accounting, one entry per rack.  O(racks x
-  /// shapes x offsets); callers that need it per-event should cache per
-  /// rack and recompute only racks whose chips changed state.
+  /// Full free/fragmentation accounting, one entry per rack, from the
+  /// per-rack summaries: only racks whose chips changed state since the
+  /// last query are recomputed.
   [[nodiscard]] FragmentationReport fragmentation() const;
 
   [[nodiscard]] TpuCluster& cluster() { return cluster_; }
   [[nodiscard]] const TpuCluster& cluster() const { return cluster_; }
 
  private:
+  /// A candidate shape and its offsets: masks_/offsets_ entries
+  /// [first, first + count), row-major.
+  struct Candidate {
+    Shape shape{};
+    std::uint32_t first{0};
+    std::uint32_t count{0};
+  };
+
+  /// Cached view of one rack, valid while `version` equals the cluster's
+  /// rack_version(); the largest shape is valid while `largest_version`
+  /// does.  The free bitset lives in free_bits_.
+  struct RackSummary {
+    std::uint64_t version{~std::uint64_t{0}};
+    std::uint64_t largest_version{~std::uint64_t{0}};
+    std::int32_t free{0};
+    Shape largest{{0, 0, 0}};
+  };
+
+  /// Candidate entry for `shape`, or nullptr when it has a non-positive
+  /// extent or exceeds the rack in some dimension.
+  [[nodiscard]] const Candidate* candidate(Shape shape) const;
+  /// The rack's summary, rebuilt from chip states if the rack changed.
+  const RackSummary& summary(RackId rack) const {
+    const RackSummary& s = racks_[static_cast<std::size_t>(rack)];
+    return s.version == cluster_.rack_version(rack) ? s : refresh(rack);
+  }
+  const RackSummary& refresh(RackId rack) const;
+  /// Index (into offsets_) of the first row-major offset at which `c`
+  /// fits on free chips of `rack`, or -1.
+  [[nodiscard]] std::int64_t first_fit(RackId rack, const Candidate& c) const;
+  /// Commits a slice without checking that its chips are free.
+  SliceId place(RackId rack, Coord offset, Shape shape);
+
   TpuCluster& cluster_;
+  std::size_t words_;                   ///< 64-bit words per rack bitset
+  std::vector<Candidate> candidates_;   ///< (volume desc, shape asc)
+  std::vector<std::int32_t> candidate_index_;  ///< by extents - 1, row-major
+  std::vector<Coord> offsets_;
+  std::vector<std::uint64_t> masks_;    ///< words_ per offset
+  mutable std::vector<RackSummary> racks_;
+  mutable std::vector<std::uint64_t> free_bits_;  ///< words_ per rack
   std::vector<Slice> slices_;
   std::vector<bool> live_;
   std::vector<std::int32_t> owner_;  ///< per chip, -1 = none

@@ -9,6 +9,7 @@
 namespace lp::util {
 
 struct ThreadPool::State {
+  std::mutex busy;                   ///< held by the caller whose job is in flight
   std::mutex mutex;
   std::condition_variable wake;      ///< workers wait here for a job
   std::condition_variable done;      ///< the caller waits here for completion
@@ -52,10 +53,14 @@ thread_local const ThreadPool* t_inside_pool = nullptr;
 
 void ThreadPool::run(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn) {
   if (n == 0) return;
-  if (worker_count_ == 0 || n == 1 || t_inside_pool == this) {
+  const auto run_inline = [&] {
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
-    return;
-  }
+  };
+  if (worker_count_ == 0 || n == 1 || t_inside_pool == this) return run_inline();
+  // One job at a time: a caller that finds the pool busy with another
+  // thread's job runs its tasks inline instead of clobbering that job.
+  const std::unique_lock busy{state_->busy, std::try_to_lock};
+  if (!busy.owns_lock()) return run_inline();
   {
     const std::lock_guard lock{state_->mutex};
     state_->job = &fn;

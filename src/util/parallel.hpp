@@ -43,7 +43,8 @@ class ThreadPool {
   /// scratch workspace per worker.  The call blocks until all tasks finish;
   /// the calling thread participates as worker 0.  Task bodies must not
   /// throw; nested run() calls on the same pool execute inline on the
-  /// calling task's thread (worker index 0).
+  /// calling task's thread (worker index 0), and so does a run() from
+  /// another thread while the pool is busy with a job.
   void run(std::size_t n, const std::function<void(std::size_t, unsigned)>& fn);
 
   /// The process-wide default pool (sized to hardware concurrency).

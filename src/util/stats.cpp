@@ -70,9 +70,13 @@ std::string Histogram::to_ascii(std::size_t max_width) const {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  if (sorted.empty()) return std::numeric_limits<double>::quiet_NaN();
   if (sorted.size() == 1) return sorted.front();
   const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
                       static_cast<double>(sorted.size() - 1);

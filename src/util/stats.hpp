@@ -70,6 +70,11 @@ class Histogram {
 /// The input need not be sorted; an internal copy is sorted.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
+/// percentile() over input already sorted ascending: no copy, no sort, the
+/// same interpolation (bit-identical results).  Callers reading several
+/// percentiles of one sample sort it once and call this per percentile.
+[[nodiscard]] double percentile_sorted(std::span<const double> sorted, double p);
+
 /// Ordinary least-squares line y = slope*x + intercept.
 struct LinearFit {
   double slope{0.0};

@@ -9,6 +9,7 @@
 
 #include "cluster/scheduler.hpp"
 #include "topo/torus.hpp"
+#include "util/rng.hpp"
 
 namespace lp::cluster {
 namespace {
@@ -193,6 +194,68 @@ TEST(ClusterScheduler, ElectricalBaselineMigratesOnComponentFaults) {
       << "the photonic policy repairs the same fault in place";
   EXPECT_EQ(opt.migrations, 0u);
   EXPECT_LE(opt.lost.total().to_seconds(), r.lost.total().to_seconds());
+}
+
+// A scripted saturated queue: 240 jobs land within the first 4.8 s on a
+// 4-rack cluster, so about 200 wait at once.  The mix carries a 3x3x1 shape
+// outside the default mix (it strands chips in every rack it lands in), a
+// 6-port OCS bank lets only a few morphs hold stitch ports at once so later
+// harvests fail to reserve and fall back to waiting, and fatal faults plus
+// flaps keep the free set churning.  Admission must keep arrival order among
+// the jobs left waiting.  The pinned digests are those of an admission pass
+// that scans every waiting job; any shortcut must reproduce them exactly.
+ClusterParams saturated_params() {
+  ClusterParams p;
+  p.cluster.racks = 4;
+  p.horizon = Duration::seconds(60.0);
+  p.drain = Duration::seconds(600.0);
+  p.fabric_wafers = 1;
+  p.ocs.ports = 6;
+  p.ocs_switches = 1;
+  p.max_fragments = 3;
+  p.flap_rate_per_hour = 600.0;
+  p.flappy_chips = 4;
+  const std::vector<Shape> shapes{Shape{{2, 2, 1}}, Shape{{4, 2, 1}}, Shape{{4, 4, 1}},
+                                  Shape{{4, 4, 2}}, Shape{{4, 4, 4}}, Shape{{3, 3, 1}}};
+  Rng rng{0x5a7u};
+  for (int i = 0; i < 240; ++i) {
+    const Shape shape = shapes[rng.uniform_index(shapes.size())];
+    const double service = 20.0 + static_cast<double>(rng.uniform_index(100));
+    p.job_script.push_back(
+        {Duration::seconds(0.02 * i), shape, Duration::seconds(service)});
+  }
+  p.script = {
+      {Duration::seconds(6.0), FaultDomain::kServer, 5, fault::FaultKind::kChipDeath, 1},
+      {Duration::seconds(18.0), FaultDomain::kChip, 70, fault::FaultKind::kChipDeath, 1},
+      {Duration::seconds(31.0), FaultDomain::kRackPower, 140,
+       fault::FaultKind::kChipDeath, 2},
+      {Duration::seconds(44.0), FaultDomain::kChip, 200, fault::FaultKind::kMziDrift, 1},
+  };
+  return p;
+}
+
+TEST(ClusterScheduler, SaturatedQueueAdmissionIsPinned) {
+  const ClusterParams p = saturated_params();
+  const ClusterReport r = run_cluster(p);
+  EXPECT_EQ(r.offered, 240u);
+  EXPECT_EQ(r.completed + r.unserved + r.aborted, r.offered);
+  EXPECT_GT(r.placed_morphed, 0u) << "some waiting jobs morph in";
+  EXPECT_GT(r.morph_deferrals, 0u) << "flapping chips defer some harvests";
+  EXPECT_EQ(r.digest, 0x4818ccdbbcc999c0ULL);
+
+  ClusterSweepConfig config;
+  config.base = p;
+  config.mtbf_points = {1.0};
+  config.trials = 2;
+  std::vector<std::uint64_t> digests;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    ClusterSweepConfig c = config;
+    c.threads = threads;
+    digests.push_back(run_cluster_sweep(c).digest);
+  }
+  EXPECT_EQ(digests[0], 0xfb19fdcbc5a640b1ULL);
+  EXPECT_EQ(digests[1], digests[0]);
+  EXPECT_EQ(digests[2], digests[0]);
 }
 
 TEST(ClusterSweep, BitIdenticalAt1_2_8Threads) {

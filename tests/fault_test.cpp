@@ -500,6 +500,32 @@ TEST(ComponentStudy, ReportIdenticalAtAnyThreadCount) {
   EXPECT_EQ(a.availability, b.availability);
 }
 
+// Transient settle failures on: the oracle deciding which programming
+// attempts fail must be keyed on trial-local identity, or the report
+// depends on how many trials each worker ran before this one.
+TEST(ComponentStudy, TransientReportIdenticalAt1_2_8Threads) {
+  std::vector<core::ComponentAvailabilityReport> reports;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    auto p = quick_component_params();
+    p.settle_failure_probability = 0.4;
+    p.threads = threads;
+    reports.push_back(core::run_component_fault_study(p));
+  }
+  EXPECT_GT(reports[0].transient_repair_failures, 0u);
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    const auto& a = reports[0];
+    const auto& b = reports[i];
+    EXPECT_EQ(a.transient_repair_failures, b.transient_repair_failures) << i;
+    EXPECT_EQ(a.unrecovered_transient, b.unrecovered_transient) << i;
+    EXPECT_EQ(a.unrecovered, b.unrecovered) << i;
+    EXPECT_EQ(a.recovered_by, b.recovered_by) << i;
+    EXPECT_EQ(a.attempts, b.attempts) << i;
+    EXPECT_EQ(a.chip_hours_lost, b.chip_hours_lost) << i;
+    EXPECT_EQ(a.recovery_seconds_total, b.recovery_seconds_total) << i;
+    EXPECT_EQ(a.availability, b.availability) << i;
+  }
+}
+
 TEST(ComponentStudy, LadderAccountingIsConsistent) {
   const auto report = core::run_component_fault_study(quick_component_params());
   EXPECT_GT(report.fault_events, 0u);

@@ -51,6 +51,31 @@ TEST(ThreadPool, NestedRunExecutesInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 8 * 4);
 }
 
+// Several outside threads sweeping on one pool at once — parallel sweep
+// tasks that each plan on the shared pool do exactly this.  Every caller's
+// tasks must run exactly once and every call must return.
+TEST(ThreadPool, ConcurrentCallersFromOutsideThreadsEachComplete) {
+  ThreadPool pool{4};
+  constexpr std::size_t kCallers = 6;
+  constexpr std::size_t kRounds = 200;
+  constexpr std::size_t kTasks = 9;
+  std::vector<std::atomic<int>> hits(kCallers * kTasks);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        pool.run(kTasks, [&](std::size_t task, unsigned) {
+          hits[c * kTasks + task].fetch_add(1, std::memory_order_relaxed);
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), static_cast<int>(kRounds)) << i;
+  }
+}
+
 TEST(ThreadPool, ZeroTasksReturnsImmediately) {
   ThreadPool pool{3};
   bool called = false;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -185,6 +186,20 @@ TEST(Stats, PercentileInterpolation) {
   EXPECT_DOUBLE_EQ(percentile(xs, 100), 4.0);
   EXPECT_DOUBLE_EQ(percentile(xs, 50), 2.5);
   EXPECT_TRUE(std::isnan(percentile({}, 50)));
+}
+
+TEST(Stats, PercentileSortedMatchesPercentileBitForBit) {
+  Rng rng{0x5011};
+  std::vector<double> xs;
+  for (int i = 0; i < 1001; ++i) xs.push_back(rng.exponential(3.0));
+  std::vector<double> sorted = xs;
+  std::sort(sorted.begin(), sorted.end());
+  for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, -5.0, 120.0}) {
+    EXPECT_EQ(percentile_sorted(sorted, p), percentile(xs, p)) << p;
+  }
+  EXPECT_TRUE(std::isnan(percentile_sorted({}, 50)));
+  const std::vector<double> one{7.5};
+  EXPECT_EQ(percentile_sorted(one, 99.0), 7.5);
 }
 
 TEST(Stats, LinearFitExact) {

@@ -68,7 +68,10 @@ struct Tail {
 };
 
 inline Tail tail_of(std::span<const double> xs) {
-  return Tail{percentile(xs, 50.0), percentile(xs, 99.0), percentile(xs, 99.9)};
+  std::vector<double> scratch(xs.begin(), xs.end());
+  constexpr double kTail[] = {50.0, 99.0, 99.9};
+  const std::vector<double> t = percentiles(scratch, kTail);
+  return Tail{t[0], t[1], t[2]};
 }
 
 /// Formats a Tail of seconds as "p50 x / p99 y / p999 z".

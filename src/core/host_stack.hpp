@@ -14,14 +14,21 @@
 //   hit:   transfer at the circuit's rate
 //   miss:  r (+ eviction teardown) + transfer
 //
+// Layout: one flat array of max_peers slots per chip (chip index wafer x
+// tiles_per_wafer + tile), most recently used first.  A hit scans at most
+// max_peers slots and rotates the match to the front: no hashing, no
+// allocation.
+//
+// Ownership: the stack owns the circuits it opens.  They are torn down only
+// through it (eviction, flush); tearing one down behind its back leaves a
+// dangling slot, which debug builds assert on at the next hit.
+//
 // The ablation bench compares this against per-message reconfiguration and
 // against a static ring (direct-connect emulation with multi-hop
 // forwarding), across working-set sizes and message sizes.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "lightpath/fabric.hpp"
@@ -31,7 +38,7 @@
 namespace lp::core {
 
 struct HostStackParams {
-  /// Max concurrent circuits per source chip (SerDes port bound).
+  /// Max concurrent circuits per source chip (SerDes port bound, >= 1).
   std::uint32_t max_peers{8};
   /// Wavelengths per cached circuit: max_peers x this must fit the tile's
   /// 16 Tx lambdas.
@@ -71,33 +78,25 @@ class HostStack {
   void reset_stats() { stats_ = HostStackStats{}; }
 
  private:
-  struct Key {
-    fabric::GlobalTile src, dst;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return (static_cast<std::size_t>(k.src.wafer) << 48) ^
-             (static_cast<std::size_t>(k.src.tile) << 32) ^
-             (static_cast<std::size_t>(k.dst.wafer) << 16) ^ k.dst.tile;
-    }
-  };
-  struct SrcState {
-    /// LRU order of destination keys, most recent at front.
-    std::list<Key> lru;
-  };
-  struct SrcHash {
-    std::size_t operator()(const fabric::GlobalTile& t) const {
-      return (static_cast<std::size_t>(t.wafer) << 32) ^ t.tile;
-    }
+  struct Peer {
+    fabric::GlobalTile dst{};
+    fabric::CircuitId id{0};
   };
 
-  Result<fabric::CircuitId> establish(const Key& key);
+  /// `src`'s chip index (wafer x tiles_per_wafer + tile), or live_.size()
+  /// off the fabric.  Its MRU array is peers_[slot x max_peers, + live_[slot]).
+  [[nodiscard]] std::size_t slot_of(fabric::GlobalTile src) const;
 
   fabric::Fabric& fabric_;
   HostStackParams params_;
-  std::unordered_map<Key, fabric::CircuitId, KeyHash> circuits_;
-  std::unordered_map<fabric::GlobalTile, SrcState, SrcHash> sources_;
+  std::uint32_t tiles_per_wafer_;
+  /// Every circuit the stack opens carries wavelengths_per_circuit lambdas,
+  /// so all run at this one rate (Fabric::circuit_bandwidth's value).
+  Bandwidth rate_;
+  /// max_peers entries per chip, most recently used first.
+  std::vector<Peer> peers_;
+  /// Live entries per chip.
+  std::vector<std::uint32_t> live_;
   HostStackStats stats_;
 };
 

@@ -2,17 +2,11 @@
 
 #include <algorithm>
 
+#include "util/rng.hpp"
+
 namespace lp::routing {
 
 namespace {
-
-/// splitmix64 finalizer: full-avalanche mix of one 64-bit value.
-[[nodiscard]] std::uint64_t finalize(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 [[nodiscard]] std::uint64_t demand_hash(const Demand& d) {
   std::uint64_t h = 0;
@@ -21,7 +15,7 @@ namespace {
   h = fabric::hash_mix(h, d.dst.wafer);
   h = fabric::hash_mix(h, d.dst.tile);
   h = fabric::hash_mix(h, d.wavelengths);
-  return finalize(h);
+  return splitmix64(h);
 }
 
 }  // namespace

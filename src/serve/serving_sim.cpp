@@ -38,6 +38,9 @@ struct Replica {
   std::vector<GlobalTile> tiles;
   /// Flat tile ids of `tiles`, the member list the autotuner fingerprints.
   std::vector<topo::TpuId> ids;
+  /// Autotuner topology fingerprint of `ids` at the host-circuit rate and
+  /// reconfiguration delay; none of the three changes after setup.
+  std::uint64_t fingerprint{0};
   /// Intra-replica backbone ring (weights/activations plane).  These are
   /// the circuits the health monitor diagnoses and the repair ladder
   /// rebuilds; HostStack traffic rides its own cached circuits.
@@ -140,6 +143,8 @@ void ServingSim::setup_replicas() {
           0, wafer.tile_at({static_cast<std::int32_t>(r), t})});
       rep.ids.push_back(static_cast<topo::TpuId>(rep.tiles.back().tile));
     }
+    rep.fingerprint =
+        coll::Autotuner::topology_fingerprint(rep.ids, tuner_rate_, tuner_reconfig_);
     // Ring circuits t -> t+1 (the wrap link routes back across the row).
     for (std::size_t t = 0; t < rep.tiles.size(); ++t) {
       const auto next = (t + 1) % rep.tiles.size();
@@ -311,9 +316,9 @@ void ServingSim::round(std::size_t r) {
       params_.traffic.expert_bytes_per_token *
       (active / static_cast<double>(rep.tiles.size()));
   const std::uint32_t peers = std::max(params_.expert_peers, 1u);
-  const coll::Decision pick = tuner_.pick(
+  const coll::Decision pick = tuner_.pick_keyed(
       coll::CollOp::kAllToAll, per_tile * static_cast<double>(peers),
-      rep.ids, tuner_rate_, tuner_reconfig_, fab_.epoch());
+      rep.ids.size(), rep.fingerprint, tuner_rate_, tuner_reconfig_, fab_.epoch());
   const std::uint32_t offset = 1 + rep.rotation % peers;
   const bool ring = pick.algo == coll::Algorithm::kRing;
   if (ring) ++report_.expert_ring_rounds;
@@ -525,20 +530,15 @@ ServingReport ServingSim::run() {
   for (const Replica& rep : replicas_) {
     report_.in_flight_at_end += rep.batch.size() + rep.queue.size();
   }
-  {
-    // One sorted copy serves every tail statistic; latencies_ itself stays
-    // in completion order for the report.  The copy is freed here, before
-    // the report is copied out, so the two never coexist at peak.
-    std::vector<double> sorted = latencies_;
-    std::sort(sorted.begin(), sorted.end());
-    report_.p50 = Duration::seconds(lp::percentile_sorted(sorted, 50.0));
-    report_.p99 = Duration::seconds(lp::percentile_sorted(sorted, 99.0));
-    report_.p999 = Duration::seconds(lp::percentile_sorted(sorted, 99.9));
-    if (!sorted.empty()) {
-      report_.max_latency = Duration::seconds(sorted.back());
-    } else {
-      report_.p50 = report_.p99 = report_.p999 = Duration::zero();
-    }
+  if (!latencies_.empty()) {
+    // Selection on a scratch copy: latencies_ stays in completion order.
+    std::vector<double> scratch = latencies_;
+    constexpr double kTail[] = {50.0, 99.0, 99.9, 100.0};
+    const std::vector<double> tail = lp::percentiles(scratch, kTail);
+    report_.p50 = Duration::seconds(tail[0]);
+    report_.p99 = Duration::seconds(tail[1]);
+    report_.p999 = Duration::seconds(tail[2]);
+    report_.max_latency = Duration::seconds(tail[3]);
   }
   report_.host = host_.stats();
   report_.suppressed_repairs = damper_.stats().suppressed_repairs;
@@ -564,7 +564,7 @@ ServingReport ServingSim::run() {
   d = fabric::hash_mix(d, fab_.ledger_digest());
   report_.digest = d;
   report_.latencies = std::move(latencies_);
-  return report_;
+  return std::move(report_);
 }
 
 }  // namespace

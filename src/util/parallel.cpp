@@ -6,6 +6,8 @@
 #include <mutex>
 #include <thread>
 
+#include "util/rng.hpp"
+
 namespace lp::util {
 
 struct ThreadPool::State {
@@ -127,12 +129,9 @@ unsigned env_threads() {
 }
 
 std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
-  // splitmix64 finalizer over the pair; any fixed mix works, it just has to
-  // be a pure function of (base_seed, task_index).
-  std::uint64_t z = base_seed + 0x9e3779b97f4a7c15ULL * (task_index + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  // The task_index-th splitmix64 draw of a stream seeded at base_seed; any
+  // fixed mix works, it just has to be a pure function of the pair.
+  return splitmix64(base_seed + 0x9e3779b97f4a7c15ULL * task_index);
 }
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,

@@ -5,21 +5,13 @@
 #include <numbers>
 
 namespace lp {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
-  for (auto& lane : s_) lane = splitmix64(x);
+  for (auto& lane : s_) {
+    lane = splitmix64(x);
+    x += 0x9e3779b97f4a7c15ULL;
+  }
 }
 
 std::uint64_t Rng::next() {

@@ -11,6 +11,16 @@
 
 namespace lp {
 
+/// One splitmix64 output: adds the golden-ratio increment to `x`, then
+/// applies the full-avalanche finalizer.  Pure; a caller walking a stream
+/// advances its own state by 0x9e3779b97f4a7c15 per draw.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   using result_type = std::uint64_t;

@@ -70,20 +70,41 @@ std::string Histogram::to_ascii(std::size_t max_width) const {
 }
 
 double percentile(std::span<const double> xs, double p) {
-  std::vector<double> sorted(xs.begin(), xs.end());
-  std::sort(sorted.begin(), sorted.end());
-  return percentile_sorted(sorted, p);
+  std::vector<double> copy(xs.begin(), xs.end());
+  return percentiles(copy, std::span<const double>{&p, 1}).front();
 }
 
-double percentile_sorted(std::span<const double> sorted, double p) {
-  if (sorted.empty()) return std::numeric_limits<double>::quiet_NaN();
-  if (sorted.size() == 1) return sorted.front();
-  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
-                      static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+std::vector<double> percentiles(std::span<double> xs, std::span<const double> ps) {
+  std::vector<double> out(ps.size(), std::numeric_limits<double>::quiet_NaN());
+  if (xs.empty()) return out;
+  if (xs.size() == 1) {
+    std::fill(out.begin(), out.end(), xs.front());
+    return out;
+  }
+  // xs[0, placed) holds the `placed` smallest values and xs[placed - 1] is
+  // in its sorted position, so the next rank only partitions xs[placed, n).
+  std::size_t placed = 0;
+  for (std::size_t k = 0; k < ps.size(); ++k) {
+    const double rank = std::clamp(ps[k], 0.0, 100.0) / 100.0 *
+                        static_cast<double>(xs.size() - 1);
+    const auto lo = static_cast<std::size_t>(std::floor(rank));
+    const auto hi = static_cast<std::size_t>(std::ceil(rank));
+    const double frac = rank - static_cast<double>(lo);
+    if (lo + 1 < placed) placed = 0;  // out-of-order p: select from scratch
+    if (lo >= placed) {
+      std::nth_element(xs.begin() + static_cast<std::ptrdiff_t>(placed),
+                       xs.begin() + static_cast<std::ptrdiff_t>(lo), xs.end());
+    }
+    placed = lo + 1;
+    if (hi != lo) {
+      // The next order statistic is the minimum of what lies above lo.
+      std::iter_swap(xs.begin() + static_cast<std::ptrdiff_t>(hi),
+                     std::min_element(xs.begin() + static_cast<std::ptrdiff_t>(hi), xs.end()));
+      placed = hi + 1;
+    }
+    out[k] = xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  }
+  return out;
 }
 
 LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {

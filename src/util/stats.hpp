@@ -66,14 +66,18 @@ class Histogram {
   std::size_t overflow_{0};
 };
 
-/// Returns the p-th percentile (p in [0,100]) by linear interpolation.
-/// The input need not be sorted; an internal copy is sorted.
+/// Returns the p-th percentile (p in [0,100]) by linear interpolation
+/// between the order statistics at floor and ceil of p/100 x (n-1); NaN for
+/// an empty sample.  The input need not be sorted; it is copied.
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
 
-/// percentile() over input already sorted ascending: no copy, no sort, the
-/// same interpolation (bit-identical results).  Callers reading several
-/// percentiles of one sample sort it once and call this per percentile.
-[[nodiscard]] double percentile_sorted(std::span<const double> sorted, double p);
+/// percentile() for each of `ps` in O(n) expected time per value, by
+/// selection instead of a sort: each step partitions only the part of `xs`
+/// above the previous rank (a p below its predecessor reselects over all
+/// of `xs`, so pass `ps` ascending), reordering `xs` in place.  Results are
+/// bit-identical to interpolating over the sorted sample.
+[[nodiscard]] std::vector<double> percentiles(std::span<double> xs,
+                                              std::span<const double> ps);
 
 /// Ordinary least-squares line y = slope*x + intercept.
 struct LinearFit {

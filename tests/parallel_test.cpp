@@ -86,6 +86,8 @@ TEST(ThreadPool, ZeroTasksReturnsImmediately) {
 TEST(TaskSeed, PureAndDistinct) {
   // Same inputs, same seed — no hidden state.
   EXPECT_EQ(task_seed(42, 7), task_seed(42, 7));
+  // Pinned bits: every sweep digest derives from this exact mix.
+  EXPECT_EQ(task_seed(42, 7), 0xccf635ee9e9e2fa4ULL);
   // Neighboring tasks and neighboring base seeds decorrelate.
   EXPECT_NE(task_seed(42, 7), task_seed(42, 8));
   EXPECT_NE(task_seed(42, 7), task_seed(43, 7));

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "serve/serving_sim.hpp"
@@ -79,6 +82,34 @@ TEST(Serving, RunIsBitIdentical) {
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.p999, b.p999);
+}
+
+/// Linear interpolation over an ascending sample, the definition the
+/// report's tail fields follow.
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+TEST(Serving, TailFieldsEqualSortedInterpolationBitForBit) {
+  // The tail fields are outside the digest, so nothing else pins them.
+  ServingParams p = small_params();
+  p.mtbf_hours = 2e-5;
+  p.horizon = Duration::millis(20.0);
+  const ServingReport r = run_serving(p);
+  ASSERT_GT(r.latencies.size(), 1000u);
+  std::vector<double> sorted = r.latencies;
+  std::sort(sorted.begin(), sorted.end());
+  const auto bits = [](double s) { return std::bit_cast<std::uint64_t>(s); };
+  EXPECT_EQ(bits(r.p50.to_seconds()), bits(sorted_percentile(sorted, 50.0)));
+  EXPECT_EQ(bits(r.p99.to_seconds()), bits(sorted_percentile(sorted, 99.0)));
+  EXPECT_EQ(bits(r.p999.to_seconds()), bits(sorted_percentile(sorted, 99.9)));
+  EXPECT_EQ(bits(r.max_latency.to_seconds()), bits(sorted.back()));
+  EXPECT_FALSE(std::is_sorted(r.latencies.begin(), r.latencies.end()))
+      << "latencies stay in completion order";
 }
 
 TEST(Serving, SweepBitIdenticalAcrossThreadCounts) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/result.hpp"
@@ -83,6 +86,13 @@ TEST(Rng, Deterministic) {
   Rng a{123};
   Rng b{123};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Rng, SplitmixOutputsArePinned) {
+  // The published splitmix64 reference: first output of the stream at 0.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafULL);
+  // Lane seeding by four consecutive splitmix64 draws (xoshiro256++).
+  EXPECT_EQ(Rng{123}.next(), 0xa5565735f810987aULL);
 }
 
 TEST(Rng, DifferentSeedsDiffer) {
@@ -188,18 +198,61 @@ TEST(Stats, PercentileInterpolation) {
   EXPECT_TRUE(std::isnan(percentile({}, 50)));
 }
 
-TEST(Stats, PercentileSortedMatchesPercentileBitForBit) {
+/// The reference percentile: sort a copy, interpolate between the order
+/// statistics at floor and ceil of the rank.
+double sorted_percentile(std::vector<double> xs, double p) {
+  if (xs.empty()) return std::numeric_limits<double>::quiet_NaN();
+  std::sort(xs.begin(), xs.end());
+  if (xs.size() == 1) return xs.front();
+  const double rank =
+      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+TEST(Stats, PercentilesMatchSortedInterpolationBitForBit) {
+  const std::vector<double> tail{0.0, 50.0, 99.0, 99.9, 100.0};
+  const auto check = [&](const std::vector<double>& xs, const std::vector<double>& ps) {
+    std::vector<double> scratch = xs;
+    const std::vector<double> got = percentiles(scratch, ps);
+    ASSERT_EQ(got.size(), ps.size());
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+      const double want = sorted_percentile(xs, ps[k]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]), std::bit_cast<std::uint64_t>(want))
+          << "n=" << xs.size() << " p=" << ps[k];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(xs, ps[k])),
+                std::bit_cast<std::uint64_t>(want));
+    }
+    std::vector<double> a = scratch, b = xs;
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_EQ(a, b) << "selection only permutes the sample";
+  };
+
+  std::vector<double> none;
+  for (const double v : percentiles(none, tail)) EXPECT_TRUE(std::isnan(v));
+  check({7.5}, tail);
+  check({2.0, 1.0}, tail);
+  check({3.0, 3.0, 3.0, 3.0}, tail);
+  // Out-of-range p clamps; a p below its predecessor still selects right.
+  check({5.0, 1.0, 4.0, 2.0, 3.0}, {-5.0, 120.0, 10.0, 99.9, 50.0, 0.0});
+
   Rng rng{0x5011};
-  std::vector<double> xs;
-  for (int i = 0; i < 1001; ++i) xs.push_back(rng.exponential(3.0));
-  std::vector<double> sorted = xs;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0, -5.0, 120.0}) {
-    EXPECT_EQ(percentile_sorted(sorted, p), percentile(xs, p)) << p;
+  std::vector<double> big;
+  for (int i = 0; i < 1001; ++i) big.push_back(rng.exponential(3.0));
+  check(big, {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0});
+  for (int trial = 0; trial < 300; ++trial) {
+    // Heavy ties: few distinct values over samples of 1..200.
+    const auto n = 1 + rng.uniform_index(200);
+    const auto distinct = 1 + rng.uniform_index(6);
+    std::vector<double> xs;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      xs.push_back(0.25 * static_cast<double>(rng.uniform_index(distinct)));
+    }
+    check(xs, tail);
   }
-  EXPECT_TRUE(std::isnan(percentile_sorted({}, 50)));
-  const std::vector<double> one{7.5};
-  EXPECT_EQ(percentile_sorted(one, 99.0), 7.5);
 }
 
 TEST(Stats, LinearFitExact) {

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <set>
 
 #include "util/parallel.hpp"
@@ -76,21 +75,18 @@ void ClusterScheduler::accumulate_metrics(TimePoint to) {
 }
 
 Duration ClusterScheduler::detection_delay(TimePoint at) const {
-  // Heartbeat detection: noticed at the first tick at or after the strike,
-  // diagnosed detection_latency later (TrainingRun's formula).
-  const double hb = params_.recovery.heartbeat_interval.to_seconds();
-  const double t = at.to_seconds();
-  return Duration::seconds(std::ceil(t / hb) * hb - t) +
-         params_.recovery.detection_latency;
+  const Duration t = Duration::seconds(at.to_seconds());
+  return (params_.recovery.heartbeat_tick(t) - t) + params_.recovery.detection_latency;
+}
+
+std::uint64_t ClusterScheduler::flappy_count() const {
+  const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
+  return params_.flappy_chips == 0 ? chips
+                                   : std::min<std::uint64_t>(params_.flappy_chips, chips);
 }
 
 double ClusterScheduler::gray_rate() const {
-  const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
-  const std::uint64_t flappy =
-      params_.flappy_chips == 0
-          ? chips
-          : std::min<std::uint64_t>(params_.flappy_chips, chips);
-  return static_cast<double>(flappy) * params_.flap_rate_per_hour / 3600.0;
+  return static_cast<double>(flappy_count()) * params_.flap_rate_per_hour / 3600.0;
 }
 
 bool ClusterScheduler::chip_usable(topo::TpuId chip) {
@@ -805,26 +801,30 @@ void ClusterScheduler::on_fault(std::size_t script_index) {
 
   apply_fault(ev);
   const Duration detect = detection_delay(now);
-  for (const std::uint64_t id : affected) {
-    auto it = jobs_.find(id);
-    if (it == jobs_.end() || !it->second.running) continue;
-    ++report_.detections;
-    Job& job = it->second;
-    std::vector<topo::TpuId> dead;
-    if (ev.fatal) {
-      for (const topo::TpuId c : job.chips) {
-        if (std::binary_search(ev.victims.begin(), ev.victims.end(), c)) {
-          dead.push_back(c);
-        }
+  for (const std::uint64_t id : affected) recover_job(id, ev, detect);
+  try_admit();
+}
+
+bool ClusterScheduler::recover_job(std::uint64_t id, const FaultEvent& ev,
+                                   Duration detect) {
+  auto it = jobs_.find(id);
+  if (it == jobs_.end() || !it->second.running) return false;
+  ++report_.detections;
+  Job& job = it->second;
+  std::vector<topo::TpuId> dead;
+  if (ev.fatal) {
+    for (const topo::TpuId c : job.chips) {
+      if (std::binary_search(ev.victims.begin(), ev.victims.end(), c)) {
+        dead.push_back(c);
       }
     }
-    if (params_.policy == SchedulerPolicy::kElectricalOnly) {
-      recover_electrical(job, dead, detect);
-    } else {
-      recover_photonic(job, ev, dead, detect);
-    }
   }
-  try_admit();
+  if (params_.policy == SchedulerPolicy::kElectricalOnly) {
+    recover_electrical(job, dead, detect);
+  } else {
+    recover_photonic(job, ev, dead, detect);
+  }
+  return true;
 }
 
 void ClusterScheduler::on_gray() {
@@ -837,10 +837,7 @@ void ClusterScheduler::on_gray() {
   }
   ++report_.flap_events;
   const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
-  const std::uint64_t flappy =
-      params_.flappy_chips == 0
-          ? chips
-          : std::min<std::uint64_t>(params_.flappy_chips, chips);
+  const std::uint64_t flappy = flappy_count();
   // Victim i of the flappy population sits at an even stride, so the gray
   // chips spread across racks instead of clustering in rack 0.
   const std::uint64_t stride = std::max<std::uint64_t>(1, chips / flappy);
@@ -859,21 +856,13 @@ void ClusterScheduler::on_gray() {
   // Naive response — and the dampened arm's pre-quarantine thrash: the flap
   // is indistinguishable from a component fault, so the owning job pays the
   // same detection + repair stall on_fault would charge.
+  FaultEvent ev;
+  ev.kind = fault::FaultKind::kMziDrift;
+  ev.victims = {chip};
   const std::int64_t owner = chip_owner_[static_cast<std::size_t>(chip)];
   if (owner < 0) return;
-  auto it = jobs_.find(static_cast<std::uint64_t>(owner));
-  if (it == jobs_.end() || !it->second.running) return;
-  ++report_.detections;
+  if (!recover_job(static_cast<std::uint64_t>(owner), ev, detection_delay(now))) return;
   ++report_.flap_repairs;
-  const Duration detect = detection_delay(now);
-  if (params_.policy == SchedulerPolicy::kElectricalOnly) {
-    recover_electrical(it->second, {}, detect);
-  } else {
-    FaultEvent ev;
-    ev.kind = fault::FaultKind::kMziDrift;
-    ev.victims = {chip};
-    recover_photonic(it->second, ev, {}, detect);
-  }
   try_admit();
 }
 
@@ -1038,43 +1027,28 @@ ClusterReport run_cluster(const ClusterParams& params) {
 
 ClusterSweepReport run_cluster_sweep(const ClusterSweepConfig& config) {
   const std::size_t trials = config.trials;
-  const std::size_t per_point = trials * 2;
-  const std::size_t total = config.mtbf_points.size() * per_point;
-
-  std::vector<ClusterReport> reports(total);
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(total, [&](std::size_t idx, unsigned) {
-    const std::size_t p = idx / per_point;
-    const std::size_t rem = idx % per_point;
-    const bool photonic = rem < trials;
-    const std::size_t trial = photonic ? rem : rem - trials;
-    ClusterParams cp = config.base;
-    cp.mtbf_hours = config.mtbf_points[p];
-    cp.policy = photonic ? SchedulerPolicy::kPhotonicMorph
-                         : SchedulerPolicy::kElectricalOnly;
-    // Both policies of a (point, trial) pair share a seed: the identical
-    // arrival and fault streams — a paired comparison.
-    cp.seed = util::task_seed(config.base.seed, p * trials + trial);
-    reports[idx] = run_cluster(cp);
-  });
+  const auto reports = util::paired_sweep(
+      config.mtbf_points.size(), trials, config.threads,
+      [&](std::size_t p, bool photonic, std::size_t pair) {
+        ClusterParams cp = config.base;
+        cp.mtbf_hours = config.mtbf_points[p];
+        cp.policy =
+            photonic ? SchedulerPolicy::kPhotonicMorph : SchedulerPolicy::kElectricalOnly;
+        cp.seed = util::task_seed(config.base.seed, pair);
+        return run_cluster(cp);
+      });
 
   ClusterSweepReport out;
   const auto chip_count =
       topo::TpuCluster{config.base.cluster}.chip_count();
   for (std::size_t p = 0; p < config.mtbf_points.size(); ++p) {
-    for (int pol = 0; pol < 2; ++pol) {
+    for (std::size_t pol = 0; pol < 2; ++pol) {
       ClusterPointReport pt;
       pt.mtbf_hours = config.mtbf_points[p];
       pt.policy = pol == 0 ? SchedulerPolicy::kPhotonicMorph
                            : SchedulerPolicy::kElectricalOnly;
       pt.trials = config.trials;
-      for (std::size_t t = 0; t < trials; ++t) {
-        const ClusterReport& r =
-            reports[p * per_point + static_cast<std::size_t>(pol) * trials + t];
+      for (const ClusterReport& r : reports[2 * p + pol]) {
         pt.accepted_load_mean += r.accepted_load();
         pt.goodput_mean += r.goodput(chip_count);
         pt.queue_delay_p50_s += r.queue_delay_p50_s;

@@ -338,6 +338,9 @@ class ClusterScheduler {
   [[nodiscard]] FaultEvent draw_fault();
   [[nodiscard]] FaultEvent scripted_fault(const ScriptedClusterFault& s) const;
   void apply_fault(const FaultEvent& ev);
+  /// Detection + recovery of running job `id` hit by `ev`, diagnosed
+  /// `detect` after the strike; false when the job is gone or not running.
+  bool recover_job(std::uint64_t id, const FaultEvent& ev, Duration detect);
   void recover_photonic(Job& job, const FaultEvent& ev,
                         const std::vector<topo::TpuId>& dead, Duration detect);
   void recover_electrical(Job& job, const std::vector<topo::TpuId>& dead,
@@ -354,11 +357,13 @@ class ClusterScheduler {
   // --- bookkeeping ---
   void stall_and_resume(Job& job, Duration stall, bool state_loss, TimePoint at);
   void accumulate_metrics(TimePoint to);
+  /// Strike-to-diagnosis delay: (heartbeat tick - strike) + latency.
   [[nodiscard]] Duration detection_delay(TimePoint at) const;
   /// Whether harvest/respare may take this chip now: false while the flap
   /// damper holds it in quarantine or probation (gray layer on only).
   [[nodiscard]] bool chip_usable(topo::TpuId chip);
-  /// Aggregate gray-event rate (events/s) over the flapping population.
+  /// Flapping population size and its aggregate gray-event rate (events/s).
+  [[nodiscard]] std::uint64_t flappy_count() const;
   [[nodiscard]] double gray_rate() const;
   [[nodiscard]] fabric::GlobalTile cursor_tile(fabric::WaferId wafer);
   void fold_digest(std::uint64_t v);

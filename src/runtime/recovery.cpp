@@ -64,4 +64,44 @@ RecoveryResult drive_recovery(fabric::Fabric& fab,
   return res;  // unreachable: the unbounded climb always returns above
 }
 
+GrayController::GrayController(GrayResponse response,
+                               const fault::FlapDamperParams& damper,
+                               routing::PlanCache& view)
+    : response_{response}, damper_{damper} {
+  if (response != GrayResponse::kDamped) return;
+  view.set_quarantine([this](fabric::GlobalTile t, fabric::Direction d) {
+    return damper_.state(fault::gray_component_key(t, d), now_) ==
+           fault::LinkState::kQuarantined;
+  });
+}
+
+Duration GrayController::play(const fault::GrayEpisode& ep, Duration t0, fabric::Fabric& fab,
+                              fabric::CircuitId victim, const RecoveryPolicy& policy,
+                              routing::EscalationOptions base,
+                              const std::function<bool(Duration&)>& on_climb) {
+  const std::uint64_t key = fault::gray_component_key(ep.tile, ep.direction);
+  const routing::DegradedCircuit down{.id = victim, .hard_down = true};
+  base.transient_failure = [](routing::RepairRung, std::uint32_t) { return true; };
+  Duration stall = Duration::zero();
+  for (std::size_t k = 0; k < ep.trace.dips(); ++k) {
+    const Duration t_dip = t0 + Duration::seconds(ep.trace.dip_start(k));
+    const Duration dark = Duration::seconds(ep.trace.dip_seconds(k));
+    ++stats_.transitions;
+    stats_.dark += dark;
+    stall += dark;
+    now_ = t_dip;
+    if (response_ == GrayResponse::kRideOut) continue;
+    if (response_ == GrayResponse::kDamped &&
+        damper_.record_flap(key, t_dip) == fault::LinkState::kQuarantined) {
+      continue;
+    }
+    const RecoveryResult res = drive_recovery(fab, down, policy, base);
+    ++stats_.climbs;
+    stats_.transient_failures += res.transient_failures;
+    stall += res.total();
+    if (!on_climb(stall)) break;
+  }
+  return stall;
+}
+
 }  // namespace lp::runtime

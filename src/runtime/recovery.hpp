@@ -8,13 +8,19 @@
 // optical: it forces the electrical-detour rung infeasible and treats a
 // rung-5 landing as "the ladder is out of optical ideas" (fell_through),
 // which the caller resolves with elastic degradation (training_run) instead
-// of a migration charge.
+// of a migration charge.  The simulators' heartbeat detector
+// (RecoveryPolicy::detected_at) and gray-dip response live here too.
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
+#include "fault/gray.hpp"
+#include "fault/health.hpp"
+#include "routing/plan_cache.hpp"
 #include "routing/repair.hpp"
 #include "util/units.hpp"
 
@@ -44,6 +50,16 @@ struct RecoveryPolicy {
   routing::RetryBackoff rung_backoff{};
   /// Per-rung wall-clock cap handed to the ladder; zero means none.
   Duration rung_timeout{Duration::zero()};
+
+  /// First heartbeat tick at or after absolute time `t` (closed boundary).
+  [[nodiscard]] Duration heartbeat_tick(Duration t) const {
+    const double hb = heartbeat_interval.to_seconds();
+    return Duration::seconds(std::ceil(t.to_seconds() / hb) * hb);
+  }
+  /// When a fault striking at `t` is diagnosed.
+  [[nodiscard]] Duration detected_at(Duration t) const {
+    return heartbeat_tick(t) + detection_latency;
+  }
 };
 
 struct RecoveryResult {
@@ -92,5 +108,54 @@ struct RecoveryResult {
                                             const routing::DegradedCircuit& victim,
                                             const RecoveryPolicy& policy,
                                             routing::EscalationOptions base = {});
+
+/// How a controller answers a gray dip.
+enum class GrayResponse : std::uint8_t {
+  kRideOut,  ///< no optical controller (electrical baseline): dark time only
+  kNaive,    ///< climb the repair ladder on every dip
+  kDamped,   ///< score dips in a FlapDamper; ride dips out while quarantined
+};
+
+struct GrayStats {
+  std::uint64_t transitions{0};  ///< dips played
+  std::uint64_t climbs{0};       ///< dip-triggered ladder climbs
+  std::uint64_t transient_failures{0};
+  Duration dark{Duration::zero()};  ///< dip dark time, summed dip by dip
+};
+
+/// The gray-dip response: owns the FlapDamper, the simulation time its
+/// quarantine view is read at, and dip playback.  Not copyable: the
+/// installed view points at it.
+class GrayController {
+ public:
+  /// For kDamped, installs the damper's quarantine view on `view`; with no
+  /// flap recorded it rejects nothing.
+  GrayController(GrayResponse response, const fault::FlapDamperParams& damper,
+                 routing::PlanCache& view);
+  GrayController(const GrayController&) = delete;
+  GrayController& operator=(const GrayController&) = delete;
+
+  /// Simulation time the quarantine view reads damper state at.
+  [[nodiscard]] Duration now() const { return now_; }
+  void set_now(Duration t) { now_ = t; }
+
+  /// Plays `ep` from `t0` and returns the stall: each dip's dark time and,
+  /// unless ridden out, a climb of the ladder for `victim` (every attempt
+  /// fails transiently inside the dip) followed by `on_climb(stall)`, which
+  /// may charge more and returns false to end the episode.
+  Duration play(const fault::GrayEpisode& ep, Duration t0, fabric::Fabric& fab,
+                fabric::CircuitId victim, const RecoveryPolicy& policy,
+                routing::EscalationOptions base,
+                const std::function<bool(Duration& stall)>& on_climb);
+
+  [[nodiscard]] const GrayStats& stats() const { return stats_; }
+  [[nodiscard]] const fault::FlapDamper& damper() const { return damper_; }
+
+ private:
+  GrayResponse response_;
+  fault::FlapDamper damper_;
+  Duration now_{Duration::zero()};
+  GrayStats stats_;
+};
 
 }  // namespace lp::runtime

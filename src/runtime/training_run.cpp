@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <optional>
 
 #include "topo/cluster.hpp"
 #include "util/parallel.hpp"
@@ -57,7 +55,10 @@ TrainingRun::TrainingRun(const RunConfig& config)
       monitor_{config.health},
       cache_{fab_},
       tuner_{coll::TunerParams{.alpha = config.cost.alpha}},
-      damper_{config.damper} {
+      gray_{config.policy != RunPolicy::kPhotonicRepair ? GrayResponse::kRideOut
+            : config.gray_hysteresis                    ? GrayResponse::kDamped
+                                                        : GrayResponse::kNaive,
+            config.damper, cache_} {
   // Fiber bundles between wafer 0's east column and wafer 1's west column,
   // one per row, generously sized so fibers are never the binding resource.
   const auto& w = fab_.wafer(0);
@@ -253,50 +254,25 @@ TrainingRun::EventOutcome TrainingRun::play_gray_episode(Duration t0, Rng& gray_
   const fault::GrayEpisode ep =
       injector_.sample_gray_at(gray_stream, config_.gray, tile, dir);
   const std::uint64_t key = fault::gray_component_key(tile, dir);
-  const bool photonic = config_.policy == RunPolicy::kPhotonicRepair;
 
-  for (std::size_t k = 0; k < ep.trace.dips(); ++k) {
-    const Duration t_dip = t0 + Duration::seconds(ep.trace.dip_start(k));
-    ++report.flap_transitions;
-    // The link is dark for the dip either way: the ring stalls.
-    const Duration dark = Duration::seconds(ep.trace.dip_seconds(k));
-    out.recovery += dark;
-    report.flap_stall += dark;
-    // The electrical baseline has no optical controller to thrash; it just
-    // rides the dips out (gray-vs-gray comparisons are photonic-only).
-    if (!photonic) continue;
-    gray_now_ = t_dip;
-    if (config_.gray_hysteresis) {
-      const fault::LinkState st = damper_.record_flap(key, t_dip);
-      if (st == fault::LinkState::kQuarantined) continue;  // ride it out
+  // The ring stalls for every dip; the electrical baseline just rides the
+  // dips out (gray-vs-gray comparisons are photonic-only).
+  const auto misclassify = [&](Duration& stall) {
+    if (config_.gray_hysteresis || ++dips_seen_[key] < config_.naive_misclassify_after) {
+      return true;
     }
-    // Repair-on-transition: the climb runs entirely inside the
-    // milliseconds-long dip, so every microseconds-long programming attempt
-    // fails transiently — the ladder thrashes and rolls back.
-    routing::DegradedCircuit victim;
-    victim.id = circuits_[e];
-    victim.hard_down = true;
-    routing::EscalationOptions opts = base_options();
-    opts.transient_failure = [](routing::RepairRung, std::uint32_t) { return true; };
-    const RecoveryResult res = drive_recovery(fab_, victim, config_.recovery, opts);
-    ++report.flap_repairs;
-    report.transient_repair_failures += res.transient_failures;
-    out.recovery += res.total();
-    if (!config_.gray_hysteresis) {
-      const std::uint32_t seen = ++dips_seen_[key];
-      if (seen >= config_.naive_misclassify_after) {
-        // The naive controller has watched the same component "fail"
-        // repeatedly and declares the chip dead: a full respare with state
-        // loss — the gray failure priced as fail-stop.
-        ++report.misclassifications;
-        bool removed = false;
-        out.recovery += recover_dead_member(e, report, removed, /*assume_dead=*/true);
-        out.state_loss = true;
-        dips_seen_.erase(key);
-        break;  // the flapper left the ring; the remaining dips are latent
-      }
-    }
-  }
+    // The naive controller has watched the same component "fail"
+    // repeatedly and declares the chip dead: a full respare with state
+    // loss — the gray failure priced as fail-stop.
+    ++report.misclassifications;
+    bool removed = false;
+    stall += recover_dead_member(e, report, removed, /*assume_dead=*/true);
+    out.state_loss = true;
+    dips_seen_.erase(key);
+    return false;  // the flapper left the ring; the remaining dips are latent
+  };
+  out.recovery = gray_.play(ep, t0, fab_, circuits_[e], config_.recovery, base_options(),
+                            misclassify);
 
   // BER-burst rider: excess loss below the health margin, so diagnosis
   // stays healthy while delivered goodput drops to ber_goodput_factor for
@@ -380,9 +356,13 @@ RunReport TrainingRun::run() {
   Rng fault_stream{util::task_seed(config_.seed, 1)};
   const bool scripted = !config_.script.empty();
   std::size_t script_idx = 0;
-  Duration next_fault = scripted
-                            ? config_.script.front().at
-                            : Duration::seconds(arrivals.exponential(rate_per_sec));
+  // The next scripted entry, or a Poisson draw after `from`.
+  const auto next_fault_after = [&](Duration from) {
+    if (!scripted) return from + Duration::seconds(arrivals.exponential(rate_per_sec));
+    return script_idx < config_.script.size() ? config_.script[script_idx].at
+                                              : Duration::infinite();
+  };
+  Duration next_fault = next_fault_after(Duration::zero());
 
   // Gray (flap) episodes: an independent Poisson process on its own pair of
   // streams, so enabling the gray layer never perturbs the permanent fault
@@ -395,16 +375,6 @@ RunReport TrainingRun::run() {
   Duration next_gray =
       gray_on ? Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec))
               : Duration::infinite();
-  if (gray_on && config_.gray_hysteresis &&
-      config_.policy == RunPolicy::kPhotonicRepair) {
-    // Quarantined components are unusable for *new* routes without touching
-    // the fabric epoch: the cache's memoized plans survive the quarantine
-    // and are warm again the moment the hold lifts.
-    cache_.set_quarantine([this](fabric::GlobalTile t, fabric::Direction d) {
-      return damper_.state(fault::gray_component_key(t, d), gray_now_) ==
-             fault::LinkState::kQuarantined;
-    });
-  }
 
   Duration clock = Duration::zero();
   Duration last_checkpoint = Duration::zero();
@@ -414,9 +384,7 @@ RunReport TrainingRun::run() {
     const auto timeline = core::overlap_buckets(config_.iteration, first_bucket_comm_,
                                                 steady_bucket_comm_);
     const Duration iter_dur = timeline.report.iteration;
-    const bool fault_pending = !scripted || script_idx < config_.script.size();
-    const Duration t_fault =
-        fault_pending ? std::max(next_fault, clock) : Duration::infinite();
+    const Duration t_fault = std::max(next_fault, clock);
     const Duration t_gray = std::max(next_gray, clock);
     const bool gray_first = t_gray < t_fault;
     const Duration t_f = gray_first ? t_gray : t_fault;
@@ -434,7 +402,6 @@ RunReport TrainingRun::run() {
     EventOutcome outcome;
     if (gray_first) {
       ++report.flap_episodes;
-      gray_now_ = t_f;
       outcome = play_gray_episode(t_f, gray_stream, report);
     } else {
       const bool mid_collective = timeline.collective_in_flight(offset);
@@ -465,15 +432,11 @@ RunReport TrainingRun::run() {
       }
       if (!any_unhealthy) {
         // Latent fault: no ring circuit degraded, training never notices.
-        next_fault = scripted
-                         ? (script_idx < config_.script.size()
-                                ? config_.script[script_idx].at
-                                : Duration::infinite())
-                         : t_f + Duration::seconds(arrivals.exponential(rate_per_sec));
+        next_fault = next_fault_after(t_f);
         continue;
       }
       ++report.detections;
-      gray_now_ = t_f;  // keep the quarantine view current for the repairs
+      gray_.set_now(t_f);  // keep the quarantine view current for the repairs
 
       if (config_.policy == RunPolicy::kElectricalMigration) {
         // Rack-granularity baseline: any degraded circuit drains the job and
@@ -492,13 +455,9 @@ RunReport TrainingRun::run() {
       }
     }
 
-    // Heartbeat detection: noticed at the first tick at or after the
-    // strike, diagnosed detection_latency later (gray episodes charge it
-    // identically in both arms — the controller still has to look).
-    const double hb = config_.recovery.heartbeat_interval.to_seconds();
-    const Duration detect_done =
-        Duration::seconds(std::ceil(t_f.to_seconds() / hb) * hb) +
-        config_.recovery.detection_latency;
+    // Heartbeat detection (gray episodes charge it identically in both
+    // arms — the controller still has to look).
+    const Duration detect_done = config_.recovery.detected_at(t_f);
     report.lost.detection += detect_done - t_f;
     report.lost.recovery += outcome.recovery;
 
@@ -528,64 +487,48 @@ RunReport TrainingRun::run() {
     if (gray_first) {
       next_gray = clock + Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec));
     } else {
-      next_fault = scripted
-                       ? (script_idx < config_.script.size()
-                              ? config_.script[script_idx].at
-                              : Duration::infinite())
-                       : clock + Duration::seconds(arrivals.exponential(rate_per_sec));
+      next_fault = next_fault_after(clock);
     }
   }
 
   report.iterations_completed = completed;
   report.ring_size_final = static_cast<std::uint32_t>(members_.size());
   report.wall_clock = clock;
-  report.suppressed_repairs = damper_.stats().suppressed_repairs;
-  report.quarantines = damper_.stats().quarantines;
-  report.probations = damper_.stats().probations;
-  report.relapses = damper_.stats().relapses;
+  report.flap_transitions = gray_.stats().transitions;
+  report.flap_repairs = gray_.stats().climbs;
+  report.transient_repair_failures = gray_.stats().transient_failures;
+  report.flap_stall = gray_.stats().dark;
+  report.suppressed_repairs = gray_.damper().stats().suppressed_repairs;
+  report.quarantines = gray_.damper().stats().quarantines;
+  report.probations = gray_.damper().stats().probations;
+  report.relapses = gray_.damper().stats().relapses;
   return report;
 }
 
 ResilienceSweepReport run_resilience_sweep(const ResilienceSweepConfig& config) {
   const std::size_t trials = config.trials;
-  const std::size_t per_point = trials * 2;
-  const std::size_t total = config.mtbf_points.size() * per_point;
-
-  std::vector<RunReport> reports(total);
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(total, [&](std::size_t idx, unsigned) {
-    const std::size_t p = idx / per_point;
-    const std::size_t rem = idx % per_point;
-    const bool photonic = rem < trials;
-    const std::size_t trial = photonic ? rem : rem - trials;
-    RunConfig rc = config.base;
-    rc.mtbf_hours = config.mtbf_points[p];
-    rc.policy = photonic ? RunPolicy::kPhotonicRepair
-                         : RunPolicy::kElectricalMigration;
-    // Both policies of a (point, trial) pair share a seed, so they face the
-    // identical fault timeline — a paired comparison.
-    rc.seed = util::task_seed(config.base.seed, p * trials + trial);
-    TrainingRun run{rc};
-    reports[idx] = run.run();
-  });
+  const auto reports = util::paired_sweep(
+      config.mtbf_points.size(), trials, config.threads,
+      [&](std::size_t p, bool photonic, std::size_t pair) {
+        RunConfig rc = config.base;
+        rc.mtbf_hours = config.mtbf_points[p];
+        rc.policy =
+            photonic ? RunPolicy::kPhotonicRepair : RunPolicy::kElectricalMigration;
+        rc.seed = util::task_seed(config.base.seed, pair);
+        return TrainingRun{rc}.run();
+      });
 
   // Fold in ascending task order: bit-identical at any thread count.
   ResilienceSweepReport out;
   for (std::size_t p = 0; p < config.mtbf_points.size(); ++p) {
-    for (int pol = 0; pol < 2; ++pol) {
+    for (std::size_t pol = 0; pol < 2; ++pol) {
       MtbfPointReport pt;
       pt.mtbf_hours = config.mtbf_points[p];
       pt.policy = pol == 0 ? RunPolicy::kPhotonicRepair
                            : RunPolicy::kElectricalMigration;
       pt.trials = config.trials;
       std::vector<double> recover_all;
-      for (std::size_t t = 0; t < trials; ++t) {
-        const RunReport& r =
-            reports[p * per_point + static_cast<std::size_t>(pol) * trials + t];
+      for (const RunReport& r : reports[2 * p + pol]) {
         const double g = r.goodput();
         pt.goodput_mean += g;
         pt.goodput_min = std::min(pt.goodput_min, g);
@@ -653,42 +596,26 @@ std::uint64_t GraySweepReport::digest() const {
 
 GraySweepReport run_gray_sweep(const GraySweepConfig& config) {
   const std::size_t trials = config.trials;
-  const std::size_t per_point = trials * 2;  // hysteresis arm + naive arm
-  const std::size_t total = config.flap_rates_per_hour.size() * per_point;
-
-  std::vector<RunReport> reports(total);
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
-  std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
-  pool.run(total, [&](std::size_t idx, unsigned) {
-    const std::size_t p = idx / per_point;
-    const std::size_t rem = idx % per_point;
-    const bool hysteresis = rem < trials;
-    const std::size_t trial = hysteresis ? rem : rem - trials;
-    RunConfig rc = config.base;
-    rc.policy = RunPolicy::kPhotonicRepair;
-    rc.flap_rate_per_hour = config.flap_rates_per_hour[p];
-    rc.gray_hysteresis = hysteresis;
-    // Both arms of a (rate, trial) pair share a seed, so they face the
-    // identical episode timeline — a paired comparison.
-    rc.seed = util::task_seed(config.base.seed, p * trials + trial);
-    TrainingRun run{rc};
-    reports[idx] = run.run();
-  });
+  const auto reports = util::paired_sweep(
+      config.flap_rates_per_hour.size(), trials, config.threads,
+      [&](std::size_t p, bool hysteresis, std::size_t pair) {
+        RunConfig rc = config.base;
+        rc.policy = RunPolicy::kPhotonicRepair;
+        rc.flap_rate_per_hour = config.flap_rates_per_hour[p];
+        rc.gray_hysteresis = hysteresis;
+        rc.seed = util::task_seed(config.base.seed, pair);
+        return TrainingRun{rc}.run();
+      });
 
   // Fold in ascending task order: bit-identical at any thread count.
   GraySweepReport out;
   for (std::size_t p = 0; p < config.flap_rates_per_hour.size(); ++p) {
-    for (int arm = 0; arm < 2; ++arm) {
+    for (std::size_t arm = 0; arm < 2; ++arm) {  // hysteresis arm, naive arm
       GrayPointReport pt;
       pt.flap_rate_per_hour = config.flap_rates_per_hour[p];
       pt.hysteresis = arm == 0;
       pt.trials = config.trials;
-      for (std::size_t t = 0; t < trials; ++t) {
-        const RunReport& r =
-            reports[p * per_point + static_cast<std::size_t>(arm) * trials + t];
+      for (const RunReport& r : reports[2 * p + arm]) {
         const double g = r.goodput();
         pt.goodput_mean += g;
         pt.goodput_min = std::min(pt.goodput_min, g);

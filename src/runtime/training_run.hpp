@@ -264,13 +264,10 @@ class TrainingRun {
   /// Per-event applied overlays, in arrival order (reverted on electrical
   /// migration's fresh rack; otherwise live until the run ends).
   std::vector<fault::FaultSet> applied_;
-  /// Flap-dampening hysteresis over gray components (gray_hysteresis mode).
-  fault::FlapDamper damper_;
+  /// Gray-dip response; owns the damper and the cache's quarantine view.
+  GrayController gray_;
   /// Naive mode: dips observed per component, driving misclassification.
   std::map<std::uint64_t, std::uint32_t> dips_seen_;
-  /// Simulation time the cache's quarantine predicate evaluates damper
-  /// state at (kept current by the event loop).
-  Duration gray_now_{Duration::zero()};
 };
 
 /// MTBF sweep: photonic vs electrical goodput, aggregated over trials.

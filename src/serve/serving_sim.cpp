@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <deque>
 #include <optional>
@@ -65,16 +64,9 @@ class ServingSim {
         gen_{params.traffic, params.replicas, params.seed},
         fault_rng_{util::task_seed(params.seed, 3)},
         gray_rng_{util::task_seed(params.seed, 4)},
-        damper_{params.damper} {
-    if (params.flap_rate_per_hour > 0.0 && params.gray_hysteresis) {
-      // Quarantined components are unusable for new routes without touching
-      // the fabric epoch — the cache stays warm across the hold.
-      cache_.set_quarantine([this](GlobalTile t, fabric::Direction d) {
-        return damper_.state(fault::gray_component_key(t, d),
-                             Duration::seconds(gray_now_)) ==
-               fault::LinkState::kQuarantined;
-      });
-    }
+        gray_{params.gray_hysteresis ? runtime::GrayResponse::kDamped
+                                     : runtime::GrayResponse::kNaive,
+              params.damper, cache_} {
     tuner_rate_ = fab_.per_wavelength_rate() *
                   static_cast<double>(params.host.wavelengths_per_circuit);
     tuner_reconfig_ = fab_.reconfig().settle_latency();
@@ -107,17 +99,14 @@ class ServingSim {
   routing::PlanCache cache_;
   fault::HealthMonitor monitor_;
   fault::FaultInjector injector_;
-  /// Queries only (monitor + validate); per-event sets below carry the
-  /// ledger side effects so they could be reverted individually.
+  /// Queries only (monitor + validate); each event's own set carries the
+  /// ledger side effects, which serving never reverts.
   fault::FaultSet cumulative_;
-  std::vector<fault::FaultSet> applied_;
   RequestGenerator gen_;
   Rng fault_rng_;
   Rng gray_rng_;
-  fault::FlapDamper damper_;
-  /// Simulation time (seconds) the quarantine predicate evaluates damper
-  /// state at; kept current by the gray/fault event handlers.
-  double gray_now_{0.0};
+  /// Naive or damped dip response; owns the damper and the quarantine view.
+  runtime::GrayController gray_;
   sim::EventEngine engine_;
   /// Picks expert-exchange and KV-migration shapes per (size bucket,
   /// replica fingerprint, fabric epoch).  The rate/reconfig pair below is
@@ -369,14 +358,9 @@ void ServingSim::fault_event() {
   fault::FaultSet set;
   set.add_all(faults);
   set.apply_to(fab_, params_.fault_model.quarantine_threshold);
-  applied_.push_back(std::move(set));
   cumulative_.add_all(faults);
 
-  // Heartbeat detection: noticed at the first tick at or after the strike,
-  // diagnosed detection_latency later (same contract as runtime/training_run).
-  const double hb = params_.recovery.heartbeat_interval.to_seconds();
-  const double detect =
-      std::ceil(now / hb) * hb + params_.recovery.detection_latency.to_seconds();
+  const double detect = params_.recovery.detected_at(Duration::seconds(now)).to_seconds();
   engine_.schedule_at(TimePoint::at_seconds(detect), [this] { detection(); });
 
   const double chips =
@@ -405,41 +389,19 @@ void ServingSim::gray_event() {
       const fabric::Direction dir = c->segments.front().hops.front();
       const fault::GrayEpisode ep =
           injector_.sample_gray_at(gray_rng_, params_.gray, tile, dir);
-      const std::uint64_t key = fault::gray_component_key(tile, dir);
-
-      double pause = 0.0;  // replica hold accumulated across the episode
-      for (std::size_t k = 0; k < ep.trace.dips(); ++k) {
-        const double t_dip = now + ep.trace.dip_start(k);
-        ++report_.flap_transitions;
-        pause += ep.trace.dip_seconds(k);  // the backbone edge is dark
-        gray_now_ = t_dip;
-        if (params_.gray_hysteresis) {
-          const fault::LinkState st =
-              damper_.record_flap(key, Duration::seconds(t_dip));
-          if (st == fault::LinkState::kQuarantined) continue;  // ride it out
-        }
-        // Repair-on-transition: the climb runs entirely inside the dip, so
-        // every programming attempt fails transiently — pure thrash, plus a
-        // host-circuit flush (the reconfiguration attempt churns the cached
-        // lanes, so subsequent sends re-plan and pay r).
-        routing::DegradedCircuit victim;
-        victim.id = rep.backbone[e];
-        victim.hard_down = true;
-        routing::EscalationOptions opts = base_options();
-        opts.transient_failure = [](routing::RepairRung, std::uint32_t) {
-          return true;
-        };
-        const auto res =
-            runtime::drive_recovery(fab_, victim, params_.recovery, opts);
-        ++report_.flap_repairs;
-        report_.transient_repair_failures += res.transient_failures;
-        pause += res.total().to_seconds();
+      // The backbone edge is dark for every dip; a climbed dip also flushes
+      // the host circuits (the reconfiguration attempt churns the cached
+      // lanes, so subsequent sends re-plan and pay r).
+      const auto flush = [this](Duration&) {
         host_.flush();
         ++report_.churn_flushes;
-      }
-      if (pause > 0.0) {
-        rep.paused_until = std::max(rep.paused_until, now + pause);
-        report_.flap_stall += Duration::seconds(pause);
+        return true;
+      };
+      const Duration pause = gray_.play(ep, Duration::seconds(now), fab_, rep.backbone[e],
+                                        params_.recovery, base_options(), flush);
+      if (pause > Duration::zero()) {
+        rep.paused_until = std::max(rep.paused_until, now + pause.to_seconds());
+        report_.flap_stall += pause;
         if (!rep.batch.empty() || !rep.queue.empty()) kick(r, rep.paused_until);
       }
     }
@@ -481,7 +443,8 @@ void ServingSim::take_offline(std::size_t r) {
 void ServingSim::detection() {
   const double now = now_s();
   ++report_.detections;
-  gray_now_ = std::max(gray_now_, now);  // keep the quarantine view current
+  // Keep the quarantine view current; it never moves back.
+  gray_.set_now(std::max(gray_.now(), Duration::seconds(now)));
   // Quarantined lanes invalidate cached routes: drop every host circuit so
   // subsequent sends re-plan around the damage (the churn the bench sweeps).
   host_.flush();
@@ -541,8 +504,11 @@ ServingReport ServingSim::run() {
     report_.max_latency = Duration::seconds(tail[3]);
   }
   report_.host = host_.stats();
-  report_.suppressed_repairs = damper_.stats().suppressed_repairs;
-  report_.quarantines = damper_.stats().quarantines;
+  report_.flap_transitions = gray_.stats().transitions;
+  report_.flap_repairs = gray_.stats().climbs;
+  report_.transient_repair_failures = gray_.stats().transient_failures;
+  report_.suppressed_repairs = gray_.damper().stats().suppressed_repairs;
+  report_.quarantines = gray_.damper().stats().quarantines;
 
   std::uint64_t d = report_.digest;
   d = fabric::hash_mix(d, report_.offered);
@@ -585,11 +551,8 @@ ServingReport run_serving(const ServingParams& params) {
 ServingSweepReport run_serving_sweep(const ServingSweepConfig& config) {
   ServingSweepReport out;
   out.points.resize(config.arrival_rates.size());
-  const unsigned threads =
-      config.threads != 0 ? config.threads : util::env_threads();
   std::optional<util::ThreadPool> local;
-  util::ThreadPool& pool =
-      threads == 0 ? util::ThreadPool::shared() : local.emplace(threads);
+  util::ThreadPool& pool = util::sweep_pool(config.threads, local);
   pool.run(config.arrival_rates.size(), [&](std::size_t i, unsigned) {
     ServingParams p = config.base;
     p.traffic.arrival_rate = config.arrival_rates[i];

@@ -128,6 +128,11 @@ unsigned env_threads() {
   return static_cast<unsigned>(v);
 }
 
+ThreadPool& sweep_pool(unsigned threads, std::optional<ThreadPool>& local) {
+  if (threads == 0) threads = env_threads();
+  return threads == 0 ? ThreadPool::shared() : local.emplace(threads);
+}
+
 std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
   // The task_index-th splitmix64 draw of a stream seeded at base_seed; any
   // fixed mix works, it just has to be a pure function of the pair.

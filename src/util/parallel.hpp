@@ -19,6 +19,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 namespace lp::util {
@@ -66,6 +68,11 @@ class ThreadPool {
 /// without recompiling.
 [[nodiscard]] unsigned env_threads();
 
+/// The pool a sweep entry point runs on: `threads` workers, else
+/// LIGHTPATH_THREADS (env_threads) workers, else the shared pool.  A private
+/// pool is built in `local`, which must outlive the returned reference.
+[[nodiscard]] ThreadPool& sweep_pool(unsigned threads, std::optional<ThreadPool>& local);
+
 /// Derives the RNG seed for one task of a sweep.  The mix is a fixed
 /// splitmix64-style hash of (base_seed, task_index): it depends on nothing
 /// but those two values, so a task draws the same stream no matter which
@@ -89,6 +96,24 @@ template <typename T, typename Map, typename Reduce>
   T acc = std::move(init);
   for (std::size_t i = 0; i < n; ++i) acc = reduce(std::move(acc), std::move(values[i]));
   return acc;
+}
+
+/// Paired-arm sweep on sweep_pool(threads): `points` x two arms x `trials`
+/// runs, returned as out[point * 2 + arm][trial].  `run(point, first_arm,
+/// pair)` gets the pair ordinal point * trials + trial, which both arms
+/// share: seeded from it, they face identical random streams.
+template <typename Run>
+[[nodiscard]] auto paired_sweep(std::size_t points, std::size_t trials, unsigned threads,
+                                Run&& run) {
+  using Report = std::invoke_result_t<Run&, std::size_t, bool, std::size_t>;
+  std::vector<std::vector<Report>> out(points * 2, std::vector<Report>(trials));
+  std::optional<ThreadPool> local;
+  sweep_pool(threads, local).run(out.size() * trials, [&](std::size_t idx, unsigned) {
+    const std::size_t group = idx / trials;  // point * 2 + arm
+    const std::size_t t = idx % trials;
+    out[group][t] = run(group / 2, group % 2 == 0, group / 2 * trials + t);
+  });
+  return out;
 }
 
 }  // namespace lp::util

@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,6 +136,58 @@ TEST(ParallelReduce, FoldsInAscendingTaskOrder) {
       [](std::size_t i) { return std::to_string(i); },
       [](std::string acc, std::string v) { return acc + v; }, &pool);
   EXPECT_EQ(joined, "0123456789");
+}
+
+// Resolution order: an explicit count, then LIGHTPATH_THREADS, then the
+// shared pool.  The variable is restored so the suite can run under it.
+TEST(SweepPool, ExplicitCountThenEnvThenShared) {
+  const char* saved = std::getenv("LIGHTPATH_THREADS");
+  const std::string restore = saved != nullptr ? saved : "";
+  ASSERT_EQ(setenv("LIGHTPATH_THREADS", "3", 1), 0);
+  {
+    std::optional<ThreadPool> local;
+    EXPECT_EQ(sweep_pool(2, local).size(), 2u) << "an explicit count wins";
+    EXPECT_TRUE(local.has_value());
+  }
+  {
+    std::optional<ThreadPool> local;
+    EXPECT_EQ(sweep_pool(0, local).size(), 3u) << "0 consults the environment";
+    EXPECT_TRUE(local.has_value());
+  }
+  ASSERT_EQ(unsetenv("LIGHTPATH_THREADS"), 0);
+  {
+    std::optional<ThreadPool> local;
+    EXPECT_EQ(&sweep_pool(0, local), &ThreadPool::shared());
+    EXPECT_FALSE(local.has_value()) << "no private pool without a count";
+  }
+  if (saved != nullptr) {
+    ASSERT_EQ(setenv("LIGHTPATH_THREADS", restore.c_str(), 1), 0);
+  }
+}
+
+TEST(PairedSweep, GroupsByPointAndArmWithSharedPairOrdinals) {
+  struct Run {
+    std::size_t point{0};
+    bool first_arm{false};
+    std::size_t pair{0};
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    const auto out = paired_sweep(
+        3, 2, threads,
+        [](std::size_t p, bool first, std::size_t pair) { return Run{p, first, pair}; });
+    ASSERT_EQ(out.size(), 6u) << "3 points x 2 arms";
+    for (std::size_t p = 0; p < 3; ++p) {
+      for (std::size_t arm = 0; arm < 2; ++arm) {
+        ASSERT_EQ(out[2 * p + arm].size(), 2u);
+        for (std::size_t t = 0; t < 2; ++t) {
+          const Run& r = out[2 * p + arm][t];
+          EXPECT_EQ(r.point, p);
+          EXPECT_EQ(r.first_arm, arm == 0);
+          EXPECT_EQ(r.pair, p * 2 + t) << "both arms of a trial share its pair ordinal";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,14 +5,17 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "collective/schedule.hpp"
 #include "core/training_sim.hpp"
 #include "fault/fault.hpp"
+#include "fault/gray.hpp"
 #include "fault/health.hpp"
 #include "lightpath/fabric.hpp"
+#include "routing/plan_cache.hpp"
 #include "routing/repair.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/training_run.hpp"
@@ -94,6 +97,129 @@ TEST(DriveRecovery, BudgetExhaustionBacksOffExponentially) {
   EXPECT_DOUBLE_EQ(res.backoff_latency.to_seconds(), 30e-6)
       << "10 us + 20 us of exponential backoff";
   EXPECT_GT(res.repair_latency, Duration::zero());
+}
+
+// --- Heartbeat detector ----------------------------------------------------
+
+TEST(HeartbeatDetector, TickBoundaryIsClosed) {
+  RecoveryPolicy policy;
+  policy.heartbeat_interval = Duration::seconds(0.25);
+  policy.detection_latency = Duration::seconds(0.125);
+  // A strike on a tick (t = 0 included) is noticed at that very tick.
+  EXPECT_EQ(policy.heartbeat_tick(Duration::zero()), Duration::zero());
+  EXPECT_EQ(policy.heartbeat_tick(Duration::seconds(0.75)), Duration::seconds(0.75));
+  EXPECT_EQ(policy.heartbeat_tick(Duration::seconds(0.5625)), Duration::seconds(0.75));
+  EXPECT_EQ(policy.detected_at(Duration::seconds(0.75)), Duration::seconds(0.875));
+  EXPECT_EQ(policy.detected_at(Duration::seconds(0.8125)), Duration::seconds(1.125));
+}
+
+// --- GrayController ----------------------------------------------------------
+
+/// Five 1 ms dips, one per second, on tile 1's east port of wafer 0.
+fault::GrayEpisode five_dip_episode() {
+  fault::GrayEpisode ep;
+  ep.tile = GlobalTile{0, 1};
+  ep.direction = fabric::Direction::kEast;
+  ep.trace = fault::FlapTrace{{0.0, 0.001, 1.0, 1.001, 2.0, 2.001, 3.0, 3.001, 4.0, 4.001}};
+  return ep;
+}
+
+/// Next to no score decay between dips; the second flap quarantines.
+fault::FlapDamperParams two_strike_damper() {
+  fault::FlapDamperParams p;
+  p.half_life_seconds = 1e9;
+  p.suspect_threshold = 1.5;
+  p.quarantine_threshold = 1.9;
+  return p;
+}
+
+struct GrayRig {
+  Fabric fab;
+  routing::PlanCache cache{fab};
+  fabric::CircuitId victim{fab.connect(GlobalTile{0, 0}, GlobalTile{0, 3}, 2).value()};
+};
+
+Duration play_five(GrayController& gray, GrayRig& rig,
+                   const std::function<bool(Duration&)>& on_climb) {
+  return gray.play(five_dip_episode(), Duration::seconds(10.0), rig.fab, rig.victim,
+                   RecoveryPolicy{}, routing::EscalationOptions{}, on_climb);
+}
+
+TEST(GrayController, NaiveClimbsEveryDipDampedRidesOutQuarantine) {
+  const auto keep_going = [](Duration&) { return true; };
+  GrayRig naive_rig;
+  GrayController naive{GrayResponse::kNaive, two_strike_damper(), naive_rig.cache};
+  play_five(naive, naive_rig, keep_going);
+  EXPECT_EQ(naive.stats().transitions, 5u);
+  EXPECT_EQ(naive.stats().climbs, 5u);
+  EXPECT_GT(naive.stats().transient_failures, 0u) << "every attempt inside a dip fails";
+  EXPECT_EQ(naive.damper().stats().flaps, 0u) << "the naive arm never scores flaps";
+  EXPECT_NE(naive_rig.fab.circuit(naive_rig.victim), nullptr) << "thrash commits nothing";
+
+  GrayRig damped_rig;
+  GrayController damped{GrayResponse::kDamped, two_strike_damper(), damped_rig.cache};
+  play_five(damped, damped_rig, keep_going);
+  EXPECT_EQ(damped.stats().transitions, 5u);
+  EXPECT_EQ(damped.stats().climbs, 1u) << "the second flap quarantines; the rest ride out";
+  EXPECT_EQ(damped.damper().stats().quarantines, 1u);
+  EXPECT_EQ(damped.damper().stats().suppressed_repairs, 3u);
+  EXPECT_EQ(damped.now(), Duration::seconds(14.0)) << "view time is the last dip's";
+  EXPECT_EQ(damped.stats().dark, naive.stats().dark) << "every dip is dark either way";
+}
+
+TEST(GrayController, RideOutChargesDarkTimeOnly) {
+  GrayRig rig;
+  GrayController gray{GrayResponse::kRideOut, two_strike_damper(), rig.cache};
+  const Duration stall = play_five(gray, rig, [](Duration&) {
+    ADD_FAILURE() << "a ridden-out dip never climbs";
+    return true;
+  });
+  EXPECT_EQ(gray.stats().transitions, 5u);
+  EXPECT_EQ(gray.stats().climbs, 0u);
+  EXPECT_EQ(stall, gray.stats().dark);
+  EXPECT_NEAR(stall.to_seconds(), 0.005, 1e-12);
+}
+
+TEST(GrayController, HookChargesStallAndStopsTheEpisode) {
+  GrayRig rig;
+  GrayController gray{GrayResponse::kNaive, two_strike_damper(), rig.cache};
+  int calls = 0;
+  const Duration stall = play_five(gray, rig, [&](Duration& s) {
+    if (++calls < 2) return true;
+    s += Duration::seconds(1.0);
+    return false;
+  });
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(gray.stats().transitions, 2u) << "dips after the stop are never played";
+  EXPECT_EQ(gray.stats().climbs, 2u);
+  EXPECT_GT(stall, Duration::seconds(1.002))
+      << "dark time, two climbs and the hook's charge";
+}
+
+TEST(GrayController, QuarantineViewRejectsWithoutBumpingTheEpoch) {
+  GrayRig rig;
+  fault::FlapDamperParams one_strike = two_strike_damper();
+  one_strike.quarantine_threshold = 0.9;
+  one_strike.suspect_threshold = 0.5;
+  GrayController gray{GrayResponse::kDamped, one_strike, rig.cache};
+  const routing::Demand d{{0, 0}, {0, 3}, 1};  // straight east run across tile 1
+  ASSERT_TRUE(rig.cache.route_for(d).has_value()) << "nothing has flapped yet";
+  const std::uint64_t misses = rig.cache.stats().route_misses;
+
+  fault::GrayEpisode ep = five_dip_episode();
+  ep.trace = fault::FlapTrace{{0.0, 0.001}};
+  const std::uint64_t epoch = rig.fab.epoch();
+  gray.play(ep, Duration::seconds(10.0), rig.fab, rig.victim, RecoveryPolicy{}, {},
+            [](Duration&) { return true; });
+  EXPECT_EQ(gray.stats().climbs, 0u) << "the first flap quarantines at once";
+  EXPECT_FALSE(rig.cache.route_for(d).has_value());
+  EXPECT_GE(rig.cache.stats().quarantine_rejections, 1u);
+  EXPECT_EQ(rig.fab.epoch(), epoch) << "quarantine is a view, not an invalidation";
+
+  // Past the hold the component is on probation: the memoized route is warm.
+  gray.set_now(Duration::seconds(10.0) + one_strike.quarantine_hold);
+  EXPECT_TRUE(rig.cache.route_for(d).has_value());
+  EXPECT_EQ(rig.cache.stats().route_misses, misses) << "the entry survived the hold";
 }
 
 // --- TrainingRun -----------------------------------------------------------

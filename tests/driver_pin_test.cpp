@@ -8,8 +8,8 @@
 // belongs in the code, never in the constant.  Every test also asserts that
 // its configuration reaches the branch it guards (misclassification,
 // suppression, BER bursts, churn flushes, flap repairs, quarantines read
-// after a detection), so a pin cannot go quietly stale by no longer
-// exercising the code it covers.
+// after a detection, each rung of the cluster escalation), so a pin cannot
+// go quietly stale by no longer exercising the code it covers.
 
 #include <gtest/gtest.h>
 
@@ -252,6 +252,61 @@ TEST(DriverPin, ClusterElectrical) {
   EXPECT_GT(r.flap_repairs, 0u);
   EXPECT_GT(r.suppressed_repairs, 0u);
   EXPECT_EQ(cluster_digest(r), 0x72be657ea53e4742ULL);
+}
+
+/// Folds every ClusterReport field, the escalation histogram included.
+std::uint64_t cluster_full_digest(const cluster::ClusterReport& r) {
+  Fold f;
+  f.add(static_cast<std::uint64_t>(r.policy));
+  for (std::uint64_t c :
+       {r.offered, r.admitted, r.completed, r.unserved, r.aborted, r.requeues,
+        r.placed_contiguous, r.placed_morphed, r.fault_events, r.fatal_chip_failures,
+        r.component_events, r.detections, r.flap_events, r.flap_repairs,
+        r.suppressed_repairs, r.chip_quarantines, r.chip_probations, r.morph_deferrals,
+        r.inplace_repairs, r.respares, r.morphs, r.morph_aborts, r.elastic_shrinks,
+        r.migrations, r.migration_failures, std::uint64_t{r.peak_running}}) {
+    f.add(c);
+  }
+  for (std::uint64_t c : r.recovered_by) f.add(c);
+  for (double d : {r.offered_work_chip_seconds, r.completed_work_chip_seconds,
+                   r.queue_delay_mean_s, r.queue_delay_p50_s, r.queue_delay_p99_s,
+                   r.frag_stranding_avg, r.utilization_avg}) {
+    f.add(d);
+  }
+  for (Duration d : {r.lost.redo, r.lost.detection, r.lost.recovery, r.makespan}) f.add(d);
+  f.add(r.digest);
+  return f.h;
+}
+
+/// Faults fast enough that fatal chips climb every photonic rung: respare,
+/// morph, elastic shrink and requeue, beside in-place component repairs.
+cluster::ClusterParams escalation_params() {
+  cluster::ClusterParams p = cluster_params();
+  p.mtbf_hours = 0.05;
+  return p;
+}
+
+TEST(DriverPin, ClusterPhotonicEscalation) {
+  const cluster::ClusterReport r = cluster::run_cluster(escalation_params());
+  EXPECT_GT(r.inplace_repairs, 0u);
+  EXPECT_GT(r.respares, 0u);
+  EXPECT_GT(r.morphs, 0u);
+  EXPECT_GT(r.elastic_shrinks, 0u);
+  EXPECT_GT(r.requeues, 0u);
+  EXPECT_EQ(cluster_full_digest(r), 0x683aea0959d9cfffULL);
+}
+
+/// The same timeline with morphing off: fatal chips skip from respare to
+/// shrink.
+TEST(DriverPin, ClusterPhotonicEscalationNoMorph) {
+  cluster::ClusterParams p = escalation_params();
+  p.morph_enabled = false;
+  const cluster::ClusterReport r = cluster::run_cluster(p);
+  EXPECT_EQ(r.morphs, 0u);
+  EXPECT_GT(r.respares, 0u);
+  EXPECT_GT(r.elastic_shrinks, 0u);
+  EXPECT_GT(r.requeues, 0u);
+  EXPECT_EQ(cluster_full_digest(r), 0x53e10dea20a04e65ULL);
 }
 
 }  // namespace

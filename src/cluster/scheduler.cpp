@@ -89,12 +89,29 @@ double ClusterScheduler::gray_rate() const {
   return static_cast<double>(flappy_count()) * params_.flap_rate_per_hour / 3600.0;
 }
 
-bool ClusterScheduler::chip_usable(topo::TpuId chip) {
+double ClusterScheduler::fault_rate() const {
+  return static_cast<double>(cluster_.chip_count()) / (params_.mtbf_hours * 3600.0);
+}
+
+void ClusterScheduler::arm(TimePoint from, Rng& clock, double rate,
+                           sim::EventEngine::Callback handler) {
+  const TimePoint next = from + Duration::seconds(clock.exponential(rate));
+  if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
+    engine_.schedule_at(next, std::move(handler));
+  }
+}
+
+bool ClusterScheduler::takeable(topo::TpuId chip) {
+  if (cluster_.state(chip) != topo::ChipState::kFree) return false;
   if (params_.flap_rate_per_hour <= 0.0 || !params_.gray_hysteresis) return true;
   const fault::LinkState s =
       damper_.state(static_cast<std::uint64_t>(chip),
                     Duration::seconds(engine_.now().to_seconds()));
-  return s != fault::LinkState::kQuarantined && s != fault::LinkState::kProbation;
+  if (s != fault::LinkState::kQuarantined && s != fault::LinkState::kProbation) {
+    return true;
+  }
+  ++report_.morph_deferrals;
+  return false;
 }
 
 fabric::GlobalTile ClusterScheduler::cursor_tile(fabric::WaferId wafer) {
@@ -164,11 +181,7 @@ std::vector<ClusterScheduler::Fragment> ClusterScheduler::harvest(
     const std::int32_t per = cluster_.chips_per_rack();
     for (std::int32_t i = 0; i < per && remaining > 0; ++i) {
       const topo::TpuId chip = rack * per + i;
-      if (cluster_.state(chip) != topo::ChipState::kFree) continue;
-      if (!chip_usable(chip)) {
-        ++report_.morph_deferrals;
-        continue;
-      }
+      if (!takeable(chip)) continue;
       cluster_.set_state(chip, topo::ChipState::kAllocated);
       f.chips.push_back(chip);
       --remaining;
@@ -211,14 +224,44 @@ std::vector<routing::Demand> ClusterScheduler::stitch_demands(
   return out;
 }
 
-void ClusterScheduler::take_chips(Job& job, const std::vector<Fragment>& fragments) {
-  for (const Fragment& f : fragments) {
-    for (const topo::TpuId chip : f.chips) {
-      job.chips.push_back(chip);
-      chip_owner_[static_cast<std::size_t>(chip)] = static_cast<std::int64_t>(job.id);
-    }
+std::vector<topo::TpuId> ClusterScheduler::chips_of(
+    const std::vector<Fragment>& fragments) {
+  std::vector<topo::TpuId> out;
+  for (const Fragment& f : fragments) out.insert(out.end(), f.chips.begin(), f.chips.end());
+  return out;
+}
+
+void ClusterScheduler::rehome(Job& job, const std::vector<topo::TpuId>& dead,
+                              const std::vector<topo::TpuId>& added) {
+  // The slice (if any) becomes a chip set; survivors and `added` carry the
+  // job.  Re-marking a survivor of a chip-set job kAllocated is a no-op.
+  std::vector<topo::TpuId> chips;
+  for (const topo::TpuId c : job.chips) {
+    if (!std::binary_search(dead.begin(), dead.end(), c)) chips.push_back(c);
   }
-  std::sort(job.chips.begin(), job.chips.end());
+  chips.insert(chips.end(), added.begin(), added.end());
+  std::sort(chips.begin(), chips.end());
+  if (job.slice >= 0) {
+    alloc_.release(job.slice);
+    job.slice = -1;
+  }
+  for (const topo::TpuId d : dead) {
+    chip_owner_[static_cast<std::size_t>(d)] = -1;
+  }
+  job.chips = std::move(chips);
+  for (const topo::TpuId c : job.chips) {
+    cluster_.set_state(c, topo::ChipState::kAllocated);
+    chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
+  }
+  job.morphed = true;
+  // Invariant: a placed job always runs at pow(f, morphs) x chips / volume.
+  // Placement starts it at 1.0 (morphs 0, full volume) and every rehome
+  // recomputes it, so a respare, which keeps both the chip count and the
+  // morph count, reproduces its rate bit for bit.
+  job.rate = std::pow(params_.morph_bandwidth_factor,
+                      static_cast<double>(job.morphs)) *
+             (static_cast<double>(job.chips.size()) /
+              static_cast<double>(job.original_volume));
 }
 
 void ClusterScheduler::release_placement(Job& job) {
@@ -357,8 +400,7 @@ void ClusterScheduler::try_admit() {
       continue;
     }
     Job& job = jobs_.at(c.slot->id);
-    take_chips(job, c.fragments);
-    job.morphed = true;
+    rehome(job, {}, chips_of(c.fragments));
     job.ocs_ports = c.ports;
     for (const routing::PlacedCircuit& p : reports[i].placed) {
       job.stitch_circuits.push_back(p.id);
@@ -382,43 +424,18 @@ void ClusterScheduler::try_admit() {
 // ---------------------------------------------------------------------------
 
 ClusterScheduler::FaultEvent ClusterScheduler::draw_fault() {
+  // The body is drawn before the anchor; a burst spans one server per
+  // sampled fault (at least one, so scripted_fault's floor never binds).
   const fault::SampledFaults sf = injector_.sample_with_domain(fault_body_);
-  const auto anchor = static_cast<topo::TpuId>(
+  ScriptedClusterFault s;
+  s.domain = sf.domain == fault::BurstDomain::kNone    ? FaultDomain::kChip
+             : sf.domain == fault::BurstDomain::kWafer ? FaultDomain::kServer
+                                                       : FaultDomain::kRackPower;
+  s.anchor = static_cast<topo::TpuId>(
       victims_.uniform_index(static_cast<std::uint64_t>(cluster_.chip_count())));
-  FaultEvent ev;
-  ev.kind = sf.faults.front().kind;
-  switch (sf.domain) {
-    case fault::BurstDomain::kNone:
-      ev.domain = FaultDomain::kChip;
-      ev.fatal = ev.kind == fault::FaultKind::kChipDeath;
-      ev.victims = {anchor};
-      break;
-    case fault::BurstDomain::kWafer: {
-      ev.domain = FaultDomain::kServer;
-      ev.fatal = true;
-      ev.victims = cluster_.server_chips(anchor);
-      break;
-    }
-    case fault::BurstDomain::kRackPower: {
-      ev.domain = FaultDomain::kRackPower;
-      ev.fatal = true;
-      const std::int32_t spr = cluster_.servers_per_rack();
-      const auto span = std::min<std::int32_t>(
-          static_cast<std::int32_t>(sf.faults.size()), spr);
-      const std::int32_t first = cluster_.server_of(anchor);
-      const topo::RackId rack = cluster_.rack_of(anchor);
-      const std::int32_t per = cluster_.chips_per_rack();
-      for (std::int32_t i = 0; i < per; ++i) {
-        const topo::TpuId chip = rack * per + i;
-        const std::int32_t rel =
-            ((cluster_.server_of(chip) - first) % spr + spr) % spr;
-        if (rel < span) ev.victims.push_back(chip);
-      }
-      break;
-    }
-  }
-  std::sort(ev.victims.begin(), ev.victims.end());
-  return ev;
+  s.kind = sf.faults.front().kind;
+  s.servers = static_cast<std::int32_t>(sf.faults.size());
+  return scripted_fault(s);
 }
 
 ClusterScheduler::FaultEvent ClusterScheduler::scripted_fault(
@@ -508,50 +525,21 @@ Duration ClusterScheduler::price_recovery(fault::FaultKind flags_kind, bool fata
 }
 
 bool ClusterScheduler::respare(Job& job, const std::vector<topo::TpuId>& dead) {
-  // One free chip of the same rack per dead chip, ascending chip id; all or
-  // nothing.
+  // One takeable chip of the same rack per dead chip, ascending chip id; all
+  // or nothing.
   std::vector<topo::TpuId> spares;
-  std::set<topo::TpuId> taken;
   for (const topo::TpuId d : dead) {
-    const topo::RackId rack = cluster_.rack_of(d);
     const std::int32_t per = cluster_.chips_per_rack();
+    const topo::TpuId first = cluster_.rack_of(d) * per;
     topo::TpuId found = -1;
-    for (std::int32_t i = 0; i < per; ++i) {
-      const topo::TpuId chip = rack * per + i;
-      if (cluster_.state(chip) != topo::ChipState::kFree) continue;
-      if (taken.count(chip) > 0) continue;
-      if (!chip_usable(chip)) {
-        ++report_.morph_deferrals;
-        continue;
-      }
-      found = chip;
-      break;
+    for (topo::TpuId chip = first; chip < first + per && found < 0; ++chip) {
+      if (std::find(spares.begin(), spares.end(), chip) != spares.end()) continue;
+      if (takeable(chip)) found = chip;
     }
     if (found < 0) return false;
-    taken.insert(found);
     spares.push_back(found);
   }
-  // Commit: the slice (if any) becomes a chip set; survivors and spares
-  // carry the job.
-  std::vector<topo::TpuId> survivors;
-  for (const topo::TpuId c : job.chips) {
-    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
-  }
-  if (job.slice >= 0) {
-    alloc_.release(job.slice);
-    job.slice = -1;
-  }
-  for (const topo::TpuId d : dead) {
-    chip_owner_[static_cast<std::size_t>(d)] = -1;
-  }
-  job.chips = survivors;
-  for (const topo::TpuId s : spares) job.chips.push_back(s);
-  std::sort(job.chips.begin(), job.chips.end());
-  for (const topo::TpuId c : job.chips) {
-    cluster_.set_state(c, topo::ChipState::kAllocated);
-    chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
-  }
-  job.morphed = true;
+  rehome(job, dead, spares);
   ++report_.respares;
   return true;
 }
@@ -565,14 +553,11 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   std::vector<Fragment> fresh = harvest(needed);
   if (fresh.empty() && needed > 0) return false;  // infeasible, not an abort
 
-  std::vector<topo::TpuId> survivors;
-  for (const topo::TpuId c : job.chips) {
-    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
-  }
-  // Fragment list: survivors grouped by rack (ascending), then the fresh
-  // harvest.
+  // Fragment list: survivors grouped by rack (ascending chip order), then
+  // the fresh harvest.
   std::vector<Fragment> frags;
-  for (const topo::TpuId c : survivors) {
+  for (const topo::TpuId c : job.chips) {
+    if (std::binary_search(dead.begin(), dead.end(), c)) continue;
     const topo::RackId rack = cluster_.rack_of(c);
     if (frags.empty() || frags.back().rack != rack) {
       frags.push_back(Fragment{rack, {}});
@@ -609,73 +594,17 @@ bool ClusterScheduler::morph(Job& job, const std::vector<topo::TpuId>& dead) {
   for (const routing::PlacedCircuit& p : plan.placed) {
     job.stitch_circuits.push_back(p.id);
   }
-  if (job.slice >= 0) {
-    alloc_.release(job.slice);
-    job.slice = -1;
-  }
-  for (const topo::TpuId d : dead) {
-    chip_owner_[static_cast<std::size_t>(d)] = -1;
-  }
-  job.chips = survivors;
-  for (const Fragment& f : fresh) {
-    for (const topo::TpuId c : f.chips) job.chips.push_back(c);
-  }
-  std::sort(job.chips.begin(), job.chips.end());
-  for (const topo::TpuId c : job.chips) {
-    cluster_.set_state(c, topo::ChipState::kAllocated);
-    chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);
-  }
-  job.morphed = true;
   ++job.morphs;
-  job.rate = std::pow(params_.morph_bandwidth_factor,
-                      static_cast<double>(job.morphs)) *
-             (static_cast<double>(job.chips.size()) /
-              static_cast<double>(job.original_volume));
+  rehome(job, dead, chips_of(fresh));
   ++report_.morphs;
   return true;
 }
 
-void ClusterScheduler::shrink(Job& job, const std::vector<topo::TpuId>& dead) {
-  std::vector<topo::TpuId> survivors;
-  for (const topo::TpuId c : job.chips) {
-    if (!std::binary_search(dead.begin(), dead.end(), c)) survivors.push_back(c);
-  }
-  if (job.slice >= 0) {
-    alloc_.release(job.slice);
-    job.slice = -1;
-    for (const topo::TpuId c : survivors) {
-      cluster_.set_state(c, topo::ChipState::kAllocated);
-    }
-  }
-  for (const topo::TpuId d : dead) {
-    chip_owner_[static_cast<std::size_t>(d)] = -1;
-  }
-  job.chips = survivors;
-  job.morphed = true;
-  job.rate = std::pow(params_.morph_bandwidth_factor,
-                      static_cast<double>(job.morphs)) *
-             (static_cast<double>(job.chips.size()) /
-              static_cast<double>(job.original_volume));
-  ++report_.elastic_shrinks;
-}
-
 void ClusterScheduler::requeue(Job& job) {
-  if (job.running) {
-    // Bank progress made since the last (re)start before rolling back to
-    // the checkpoint — requeue is always a state loss.
-    const Duration elapsed =
-        std::max(Duration::zero(), engine_.now() - job.started);
-    job.progress = std::min(job.service, job.progress + elapsed * job.rate);
-    const double ci = params_.checkpoint_interval.to_seconds();
-    job.checkpointed =
-        Duration::seconds(std::floor(job.progress.to_seconds() / ci) * ci);
-    report_.lost.redo += job.progress - job.checkpointed;
-    job.running = false;
-    --running_;
-  }
+  // Every caller recovers a running job; a requeue is always a state loss.
+  stop(job, engine_.now(), /*state_loss=*/true);
   ++job.generation;  // cancels the pending completion
   release_placement(job);
-  job.progress = job.checkpointed;
   job.rate = 1.0;
   job.morphs = 0;
   job.morphed = false;
@@ -689,21 +618,23 @@ void ClusterScheduler::requeue(Job& job) {
   enqueue(job);
 }
 
-void ClusterScheduler::stall_and_resume(Job& job, Duration stall, bool state_loss,
-                                        TimePoint at) {
+void ClusterScheduler::stop(Job& job, TimePoint at, bool state_loss) {
   const Duration elapsed = std::max(Duration::zero(), at - job.started);
-  job.progress += elapsed * job.rate;
-  job.progress = std::min(job.progress, job.service);
+  job.progress = std::min(job.service, job.progress + elapsed * job.rate);
   const double ci = params_.checkpoint_interval.to_seconds();
   job.checkpointed =
       Duration::seconds(std::floor(job.progress.to_seconds() / ci) * ci);
   if (state_loss) {
-    const Duration redo = job.progress - job.checkpointed;
-    report_.lost.redo += redo;
+    report_.lost.redo += job.progress - job.checkpointed;
     job.progress = job.checkpointed;
   }
-  --running_;
   job.running = false;
+  --running_;
+}
+
+void ClusterScheduler::stall_and_resume(Job& job, Duration stall, bool state_loss,
+                                        TimePoint at) {
+  stop(job, at, state_loss);
   start_job(job, at + stall);
 }
 
@@ -742,7 +673,8 @@ void ClusterScheduler::recover_photonic(Job& job, const FaultEvent& ev,
   const double floor_chips =
       params_.shrink_min_fraction * static_cast<double>(job.original_volume);
   if (survivors >= floor_chips && survivors >= 1.0) {
-    shrink(job, dead);
+    rehome(job, dead, {});  // elastic shrink
+    ++report_.elastic_shrinks;
     stall_and_resume(job, detect + price, /*state_loss=*/true, now);
     return;
   }
@@ -779,12 +711,7 @@ void ClusterScheduler::on_fault(std::size_t script_index) {
     ev = scripted_fault(params_.script[script_index]);
   } else {
     ev = draw_fault();
-    const double rate = static_cast<double>(cluster_.chip_count()) /
-                        (params_.mtbf_hours * 3600.0);
-    const TimePoint next = now + Duration::seconds(fault_clock_.exponential(rate));
-    if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(next, [this] { on_fault(SIZE_MAX); });
-    }
+    arm(now, fault_clock_, fault_rate(), [this] { on_fault(SIZE_MAX); });
   }
   ++report_.fault_events;
   if (!ev.fatal) ++report_.component_events;
@@ -831,10 +758,7 @@ void ClusterScheduler::on_gray() {
   const TimePoint now = engine_.now();
   accumulate_metrics(now);
   // Reschedule first so a long repair stall never silences the flap clock.
-  const TimePoint next = now + Duration::seconds(gray_clock_.exponential(gray_rate()));
-  if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-    engine_.schedule_at(next, [this] { on_gray(); });
-  }
+  arm(now, gray_clock_, gray_rate(), [this] { on_gray(); });
   ++report_.flap_events;
   const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
   const std::uint64_t flappy = flappy_count();
@@ -845,7 +769,7 @@ void ClusterScheduler::on_gray() {
       (gray_victims_.uniform_index(flappy) * stride) % chips);
   if (params_.gray_hysteresis) {
     // Score the flap.  While quarantined the damper suppresses the repair
-    // (the job rides the dips out) and chip_usable() keeps harvest/respare
+    // (the job rides the dips out) and takeable() keeps harvest/respare
     // off the chip until its probation hold completes cleanly.
     const auto key = static_cast<std::uint64_t>(chip);
     const Duration t = Duration::seconds(now.to_seconds());
@@ -888,11 +812,7 @@ void ClusterScheduler::admit_new_job(topo::Shape shape, Duration service) {
 void ClusterScheduler::on_arrival() {
   const TimePoint now = engine_.now();
   accumulate_metrics(now);
-  const TimePoint next =
-      now + Duration::seconds(arrivals_.exponential(params_.arrival_rate_per_s));
-  if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-    engine_.schedule_at(next, [this] { on_arrival(); });
-  }
+  arm(now, arrivals_, params_.arrival_rate_per_s, [this] { on_arrival(); });
 
   // Job attributes come from their own stream so arrival-clock draws never
   // perturb them.
@@ -952,11 +872,7 @@ ClusterReport ClusterScheduler::run() {
           [this, i] { on_scripted_arrival(i); });
     }
   } else {
-    const TimePoint first_arrival = TimePoint::at_seconds(0.0) +
-        Duration::seconds(arrivals_.exponential(params_.arrival_rate_per_s));
-    if (first_arrival < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(first_arrival, [this] { on_arrival(); });
-    }
+    arm(TimePoint{}, arrivals_, params_.arrival_rate_per_s, [this] { on_arrival(); });
   }
   if (!params_.script.empty()) {
     for (std::size_t i = 0; i < params_.script.size(); ++i) {
@@ -964,20 +880,10 @@ ClusterReport ClusterScheduler::run() {
                           [this, i] { on_fault(i); });
     }
   } else if (params_.mtbf_hours > 0.0) {
-    const double rate = static_cast<double>(cluster_.chip_count()) /
-                        (params_.mtbf_hours * 3600.0);
-    const TimePoint first_fault = TimePoint::at_seconds(0.0) +
-        Duration::seconds(fault_clock_.exponential(rate));
-    if (first_fault < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(first_fault, [this] { on_fault(SIZE_MAX); });
-    }
+    arm(TimePoint{}, fault_clock_, fault_rate(), [this] { on_fault(SIZE_MAX); });
   }
   if (params_.flap_rate_per_hour > 0.0) {
-    const TimePoint first_gray = TimePoint::at_seconds(0.0) +
-        Duration::seconds(gray_clock_.exponential(gray_rate()));
-    if (first_gray < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-      engine_.schedule_at(first_gray, [this] { on_gray(); });
-    }
+    arm(TimePoint{}, gray_clock_, gray_rate(), [this] { on_gray(); });
   }
 
   const TimePoint end =

@@ -330,7 +330,14 @@ class ClusterScheduler {
   void unharvest(const std::vector<Fragment>& fragments);
   [[nodiscard]] std::vector<routing::Demand> stitch_demands(
       const std::vector<Fragment>& fragments);
-  void take_chips(Job& job, const std::vector<Fragment>& fragments);
+  [[nodiscard]] static std::vector<topo::TpuId> chips_of(
+      const std::vector<Fragment>& fragments);
+  /// The one re-placement commit of admission morphs, respare, morph and
+  /// elastic shrink: `job` keeps its chips minus `dead` (ascending) plus
+  /// `added`, its slice (if any) becomes a chip set, ownership moves, and
+  /// the rate is recomputed from the morph count and surviving volume.
+  void rehome(Job& job, const std::vector<topo::TpuId>& dead,
+              const std::vector<topo::TpuId>& added);
   void release_placement(Job& job);
   void start_job(Job& job, TimePoint at);
 
@@ -347,7 +354,6 @@ class ClusterScheduler {
                           Duration detect);
   [[nodiscard]] bool respare(Job& job, const std::vector<topo::TpuId>& dead);
   [[nodiscard]] bool morph(Job& job, const std::vector<topo::TpuId>& dead);
-  void shrink(Job& job, const std::vector<topo::TpuId>& dead);
   void requeue(Job& job);
   /// Prices one optical recovery on the pricing fabric via a probe circuit
   /// + drive_recovery; returns the wall clock charged (and updates
@@ -355,16 +361,26 @@ class ClusterScheduler {
   [[nodiscard]] Duration price_recovery(fault::FaultKind flags_kind, bool fatal);
 
   // --- bookkeeping ---
+  /// Banks the progress `job` made since its last (re)start, floors the
+  /// checkpoint and, on `state_loss`, rolls back to it (charging the redo);
+  /// the job stops running.
+  void stop(Job& job, TimePoint at, bool state_loss);
   void stall_and_resume(Job& job, Duration stall, bool state_loss, TimePoint at);
+  /// Schedules `handler` one Exp(rate) draw of `clock` after `from`, only if
+  /// that lies before the horizon (arrivals, faults and flaps stop there).
+  void arm(TimePoint from, Rng& clock, double rate, sim::EventEngine::Callback handler);
   void accumulate_metrics(TimePoint to);
   /// Strike-to-diagnosis delay: (heartbeat tick - strike) + latency.
   [[nodiscard]] Duration detection_delay(TimePoint at) const;
-  /// Whether harvest/respare may take this chip now: false while the flap
-  /// damper holds it in quarantine or probation (gray layer on only).
-  [[nodiscard]] bool chip_usable(topo::TpuId chip);
+  /// Whether harvest/respare may take this chip now: it is free and the
+  /// flap damper does not hold it in quarantine or probation (gray layer on
+  /// only); a held chip counts one morph deferral.
+  [[nodiscard]] bool takeable(topo::TpuId chip);
   /// Flapping population size and its aggregate gray-event rate (events/s).
   [[nodiscard]] std::uint64_t flappy_count() const;
   [[nodiscard]] double gray_rate() const;
+  /// Aggregate Poisson fault rate over every chip (events/s).
+  [[nodiscard]] double fault_rate() const;
   [[nodiscard]] fabric::GlobalTile cursor_tile(fabric::WaferId wafer);
   void fold_digest(std::uint64_t v);
 

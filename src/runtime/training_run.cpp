@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "topo/cluster.hpp"
 #include "util/parallel.hpp"
@@ -149,39 +150,30 @@ routing::EscalationOptions TrainingRun::base_options() const {
 }
 
 Duration TrainingRun::shrink_ring(std::size_t i, RunReport& report) {
-  Duration dur = Duration::zero();
   const std::size_t n = members_.size();
   std::size_t pe = (i + n - 1) % n;
   fab_.disconnect(circuits_[pe]);
-  fab_.disconnect(circuits_[i]);  // may already be gone (ladder fell through)
-  members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(i));
-  circuits_.erase(circuits_.begin() + static_cast<std::ptrdiff_t>(i));
-  ++report.elastic_shrinks;
-  if (pe > i) --pe;
-  // Bridge the survivors around the gap, degrading to a single wavelength
-  // if the full-width circuit will not place; if even that fails (the fault
-  // quarantined everything between them), drop the unreachable neighbor too
-  // and keep going — the elastic contract is that the run continues on
-  // whatever ring still lights up.
-  while (members_.size() >= 2) {
+  // Drop the member, then bridge the survivors around the gap, degrading to
+  // a single wavelength if the full-width circuit will not place; if even
+  // that fails (the fault quarantined everything between them), drop the
+  // unreachable neighbor too and keep going — the elastic contract is that
+  // the run continues on whatever ring still lights up.
+  for (std::size_t drop = i;; drop = (pe + 1) % members_.size()) {
+    fab_.disconnect(circuits_[drop]);  // may already be gone (ladder fell through)
+    members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(drop));
+    circuits_.erase(circuits_.begin() + static_cast<std::ptrdiff_t>(drop));
+    ++report.elastic_shrinks;
+    if (drop < pe) --pe;
+    if (members_.size() < 2) return Duration::zero();  // ring collapsed
     const fabric::GlobalTile from = members_[pe];
     const fabric::GlobalTile to = members_[(pe + 1) % members_.size()];
     Result<fabric::CircuitId> placed = fab_.connect(from, to, config_.wavelengths);
     if (!placed) placed = fab_.connect(from, to, 1);
     if (placed) {
       circuits_[pe] = placed.value();
-      const fabric::Circuit* c = fab_.circuit(placed.value());
-      dur += fab_.reconfig().batch_latency(c->mzis_to_program());
-      return dur;
+      return fab_.reconfig().batch_latency(fab_.circuit(placed.value())->mzis_to_program());
     }
-    const std::size_t drop = (pe + 1) % members_.size();
-    fab_.disconnect(circuits_[drop]);
-    members_.erase(members_.begin() + static_cast<std::ptrdiff_t>(drop));
-    circuits_.erase(circuits_.begin() + static_cast<std::ptrdiff_t>(drop));
-    if (drop < pe) --pe;
-    ++report.elastic_shrinks;
   }
-  return dur;  // ring collapsed; run() stops at the next loop check
 }
 
 Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
@@ -192,42 +184,42 @@ Duration TrainingRun::recover_dead_member(std::size_t i, RunReport& report,
   const fabric::CircuitId in_id = circuits_[pe];
   const fabric::CircuitId out_id = circuits_[i];
 
-  // The in-edge (prev -> dead) picks the spare: respare re-anchors it as
-  // prev -> spare (plus the reverse circuit, which the ring does not use).
-  routing::EscalationOptions opts = base_options();
-  opts.spare_candidates = free_tiles();
-  const auto diag_in = monitor_.diagnose(fab_, cumulative_, in_id);
-  routing::DegradedCircuit victim_in = fault::to_degraded(diag_in);
-  // Misclassification path: the diagnosis is healthy (the member only
-  // flaps), but the controller has decided it is dead — force the flags so
-  // the ladder anchors the respare on the surviving neighbor, exactly as it
-  // would for a genuinely dead chip.
-  if (assume_dead) victim_in.dst_dead = true;
-  const RecoveryResult res_in =
-      drive_recovery(fab_, victim_in, config_.recovery, opts);
-  dur += res_in.total();
-  if (res_in.recovered && res_in.rung == routing::RepairRung::kRespare &&
-      res_in.circuits.size() == 2) {
-    const fabric::GlobalTile spare = fab_.circuit(res_in.circuits[0])->dst;
-    fab_.disconnect(res_in.circuits[1]);
-    circuits_[pe] = res_in.circuits[0];
+  // Respares one ring edge of the dead member, the dead chip being the
+  // edge's destination (in-edge) or source (out-edge).  The respare rung
+  // returns the edge re-anchored on a spare plus its reverse circuit, which
+  // the ring does not use; the kept circuit comes back, or nothing when the
+  // rung did not complete.
+  const auto respare_edge = [&](fabric::CircuitId id,
+                                std::vector<fabric::GlobalTile> spares,
+                                bool dead_is_dst) -> std::optional<fabric::CircuitId> {
+    routing::EscalationOptions opts = base_options();
+    opts.spare_candidates = std::move(spares);
+    routing::DegradedCircuit victim =
+        fault::to_degraded(monitor_.diagnose(fab_, cumulative_, id));
+    // Misclassification path: the diagnosis is healthy (the member only
+    // flaps), but the controller has decided it is dead — force the flags
+    // so the ladder anchors the respare on the surviving neighbor, exactly
+    // as it would for a genuinely dead chip.
+    if (assume_dead) (dead_is_dst ? victim.dst_dead : victim.src_dead) = true;
+    const RecoveryResult res = drive_recovery(fab_, victim, config_.recovery, opts);
+    dur += res.total();
+    if (!res.recovered || res.rung != routing::RepairRung::kRespare ||
+        res.circuits.size() != 2) {
+      return std::nullopt;
+    }
     ++report.recovered_by[routing::rung_index(routing::RepairRung::kRespare)];
-
-    // The out-edge (dead -> next) must land on the same spare.
-    routing::EscalationOptions opts_out = base_options();
-    opts_out.spare_candidates = {spare};
-    const auto diag_out = monitor_.diagnose(fab_, cumulative_, out_id);
-    routing::DegradedCircuit victim_out = fault::to_degraded(diag_out);
-    if (assume_dead) victim_out.src_dead = true;
-    const RecoveryResult res_out =
-        drive_recovery(fab_, victim_out, config_.recovery, opts_out);
-    dur += res_out.total();
-    if (res_out.recovered && res_out.rung == routing::RepairRung::kRespare &&
-        res_out.circuits.size() == 2) {
-      fab_.disconnect(res_out.circuits[0]);
-      circuits_[i] = res_out.circuits[1];
+    const std::size_t keep = dead_is_dst ? 0 : 1;
+    fab_.disconnect(res.circuits[1 - keep]);
+    return res.circuits[keep];
+  };
+  // The in-edge (prev -> dead) picks the spare; the out-edge (dead -> next)
+  // must land on the same one.
+  if (const auto in = respare_edge(in_id, free_tiles(), /*dead_is_dst=*/true)) {
+    circuits_[pe] = *in;
+    const fabric::GlobalTile spare = fab_.circuit(*in)->dst;
+    if (const auto out = respare_edge(out_id, {spare}, /*dead_is_dst=*/false)) {
+      circuits_[i] = *out;
       members_[i] = spare;
-      ++report.recovered_by[routing::rung_index(routing::RepairRung::kRespare)];
       removed = false;
       return dur;
     }

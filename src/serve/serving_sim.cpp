@@ -537,13 +537,8 @@ ServingReport ServingSim::run() {
 
 ServingReport run_serving(const ServingParams& params) {
   ServingParams p = params;
-  const auto rows = static_cast<std::int32_t>(p.replicas);
-  const auto cols = static_cast<std::int32_t>(p.tiles_per_replica);
-  if (p.fabric.wafer.rows * p.fabric.wafer.cols !=
-      rows * cols) {
-    p.fabric.wafer.rows = rows;
-    p.fabric.wafer.cols = cols;
-  }
+  p.fabric.wafer.rows = static_cast<std::int32_t>(p.replicas);
+  p.fabric.wafer.cols = static_cast<std::int32_t>(p.tiles_per_replica);
   ServingSim sim{p};
   return sim.run();
 }

@@ -39,11 +39,11 @@ namespace lp::serve {
 struct ServingParams {
   TrafficParams traffic{};
 
-  /// Replica r owns row r of the wafer: replicas x tiles_per_replica must
-  /// equal rows x cols of `wafer`.
+  /// Replica r owns row r of the wafer: run_serving shapes `wafer` as
+  /// replicas rows x tiles_per_replica columns, whatever it was set to.
   std::uint32_t replicas{16};
   std::uint32_t tiles_per_replica{16};
-  fabric::FabricConfig fabric{};  ///< wafer shape set in run_serving if left 4x8
+  fabric::FabricConfig fabric{};
 
   /// Continuous batching: max concurrent sequences per replica.
   std::uint32_t batch_capacity{64};

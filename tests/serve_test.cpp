@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "serve/serving_sim.hpp"
@@ -195,6 +196,21 @@ TEST(Serving, DefaultWaferIsResizedToFitReplicas) {
   const ServingReport r = run_serving(p);
   EXPECT_GT(r.completed, 0u);
   EXPECT_EQ(r.offered, r.completed + r.abandoned + r.in_flight_at_end);
+
+  // Layouts of the default wafer's 32 tiles in another shape are reshaped
+  // too: each matches a run on an explicitly shaped wafer.
+  for (const auto& [replicas, tiles] : {std::pair{8u, 4u}, std::pair{2u, 16u}}) {
+    ServingParams q = small_params();
+    q.replicas = replicas;
+    q.tiles_per_replica = tiles;
+    const ServingReport implicit = run_serving(q);
+    q.fabric.wafer.rows = static_cast<std::int32_t>(replicas);
+    q.fabric.wafer.cols = static_cast<std::int32_t>(tiles);
+    const ServingReport explicit_shape = run_serving(q);
+    EXPECT_GT(implicit.completed, 0u) << replicas << "x" << tiles;
+    EXPECT_EQ(implicit.send_failures, 0u) << replicas << "x" << tiles;
+    EXPECT_EQ(implicit.digest, explicit_shape.digest) << replicas << "x" << tiles;
+  }
 }
 
 }  // namespace

@@ -144,6 +144,38 @@ TEST(DriverPin, TrainingQuarantineViewClock) {
   EXPECT_EQ(r.digest, 0xfa3d024acffff490ULL);
 }
 
+/// Six scripted chip deaths 40 ms apart under a flap storm.  Each death
+/// rolls back, and the rollback can carry the clock past both the next
+/// scripted fault and a pending flap: both are then held back to the
+/// resume time, and the fault must strike before the flap.
+runtime::RunConfig scripted_under_flaps(std::uint64_t seed) {
+  runtime::RunConfig c;
+  c.ring_tiles_per_wafer = 8;
+  c.iterations = 600;
+  c.seed = seed;
+  c.flap_rate_per_hour = 200.0;
+  c.gray_hysteresis = seed % 2 == 0;
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    const double at_ms = 10.5 + 40.0 * k + 3.0 * static_cast<double>(seed % 5);
+    c.script.push_back({Duration::millis(at_ms),
+                        {{.kind = fault::FaultKind::kChipDeath,
+                          .tile = {static_cast<fabric::WaferId>(k % 2),
+                                   static_cast<fabric::TileId>(k)}}}});
+  }
+  return c;
+}
+
+TEST(DriverPin, TrainingScriptedFaultsUnderFlaps) {
+  // Seed 6 runs the damped arm, seed 11 the naive one.
+  for (const auto& [seed, digest] : {std::pair{6ULL, 0xd91af7c12607daacULL},
+                                     std::pair{11ULL, 0x14c64a1eff393c00ULL}}) {
+    const TrainRun r = run_training(scripted_under_flaps(seed));
+    EXPECT_EQ(r.report.fault_events, 6u) << "seed " << seed;
+    EXPECT_GT(r.report.flap_episodes, 0u) << "seed " << seed;
+    EXPECT_EQ(r.digest, digest) << "seed " << seed;
+  }
+}
+
 // --- ServingSim -------------------------------------------------------------
 
 /// 4 replicas x 4 tiles under accelerated faults and a flap storm.

@@ -7,7 +7,8 @@
 //   * seed heap — a faithful replica of the repo's original EventQueue
 //     (std::priority_queue of std::function, the full Item *copied* out of
 //     top() on every dispatch).  This is the baseline the engine replaces.
-//   * fixed heap — today's sim::EventQueue (same heap, move-based dispatch).
+//   * fixed heap — sim::EventQueue, the tests' reference oracle
+//     (tests/event_queue.hpp: same heap, move-based dispatch).
 //   * calendar engine — sim::EventEngine (hierarchical calendar buckets over
 //     a slab of 64-byte records, inline handlers, hugepage-backed storage).
 //
@@ -26,7 +27,7 @@
 
 #include "bench_common.hpp"
 #include "sim/event_engine.hpp"
-#include "sim/event_queue.hpp"
+#include "tests/event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace {

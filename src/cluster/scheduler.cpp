@@ -93,14 +93,6 @@ double ClusterScheduler::fault_rate() const {
   return static_cast<double>(cluster_.chip_count()) / (params_.mtbf_hours * 3600.0);
 }
 
-void ClusterScheduler::arm(TimePoint from, Rng& clock, double rate,
-                           sim::EventEngine::Callback handler) {
-  const TimePoint next = from + Duration::seconds(clock.exponential(rate));
-  if (next < TimePoint::at_seconds(params_.horizon.to_seconds())) {
-    engine_.schedule_at(next, std::move(handler));
-  }
-}
-
 bool ClusterScheduler::takeable(topo::TpuId chip) {
   if (cluster_.state(chip) != topo::ChipState::kFree) return false;
   if (params_.flap_rate_per_hour <= 0.0 || !params_.gray_hysteresis) return true;
@@ -711,7 +703,8 @@ void ClusterScheduler::on_fault(std::size_t script_index) {
     ev = scripted_fault(params_.script[script_index]);
   } else {
     ev = draw_fault();
-    arm(now, fault_clock_, fault_rate(), [this] { on_fault(SIZE_MAX); });
+    sim::arm(engine_, now, fault_clock_, fault_rate(), params_.horizon,
+             [this] { on_fault(SIZE_MAX); });
   }
   ++report_.fault_events;
   if (!ev.fatal) ++report_.component_events;
@@ -758,7 +751,7 @@ void ClusterScheduler::on_gray() {
   const TimePoint now = engine_.now();
   accumulate_metrics(now);
   // Reschedule first so a long repair stall never silences the flap clock.
-  arm(now, gray_clock_, gray_rate(), [this] { on_gray(); });
+  sim::arm(engine_, now, gray_clock_, gray_rate(), params_.horizon, [this] { on_gray(); });
   ++report_.flap_events;
   const auto chips = static_cast<std::uint64_t>(cluster_.chip_count());
   const std::uint64_t flappy = flappy_count();
@@ -812,7 +805,8 @@ void ClusterScheduler::admit_new_job(topo::Shape shape, Duration service) {
 void ClusterScheduler::on_arrival() {
   const TimePoint now = engine_.now();
   accumulate_metrics(now);
-  arm(now, arrivals_, params_.arrival_rate_per_s, [this] { on_arrival(); });
+  sim::arm(engine_, now, arrivals_, params_.arrival_rate_per_s, params_.horizon,
+           [this] { on_arrival(); });
 
   // Job attributes come from their own stream so arrival-clock draws never
   // perturb them.
@@ -872,7 +866,8 @@ ClusterReport ClusterScheduler::run() {
           [this, i] { on_scripted_arrival(i); });
     }
   } else {
-    arm(TimePoint{}, arrivals_, params_.arrival_rate_per_s, [this] { on_arrival(); });
+    sim::arm(engine_, TimePoint{}, arrivals_, params_.arrival_rate_per_s, params_.horizon,
+             [this] { on_arrival(); });
   }
   if (!params_.script.empty()) {
     for (std::size_t i = 0; i < params_.script.size(); ++i) {
@@ -880,10 +875,12 @@ ClusterReport ClusterScheduler::run() {
                           [this, i] { on_fault(i); });
     }
   } else if (params_.mtbf_hours > 0.0) {
-    arm(TimePoint{}, fault_clock_, fault_rate(), [this] { on_fault(SIZE_MAX); });
+    sim::arm(engine_, TimePoint{}, fault_clock_, fault_rate(), params_.horizon,
+             [this] { on_fault(SIZE_MAX); });
   }
   if (params_.flap_rate_per_hour > 0.0) {
-    arm(TimePoint{}, gray_clock_, gray_rate(), [this] { on_gray(); });
+    sim::arm(engine_, TimePoint{}, gray_clock_, gray_rate(), params_.horizon,
+             [this] { on_gray(); });
   }
 
   const TimePoint end =

@@ -366,9 +366,6 @@ class ClusterScheduler {
   /// the job stops running.
   void stop(Job& job, TimePoint at, bool state_loss);
   void stall_and_resume(Job& job, Duration stall, bool state_loss, TimePoint at);
-  /// Schedules `handler` one Exp(rate) draw of `clock` after `from`, only if
-  /// that lies before the horizon (arrivals, faults and flaps stop there).
-  void arm(TimePoint from, Rng& clock, double rate, sim::EventEngine::Callback handler);
   void accumulate_metrics(TimePoint to);
   /// Strike-to-diagnosis delay: (heartbeat tick - strike) + latency.
   [[nodiscard]] Duration detection_delay(TimePoint at) const;

@@ -5,7 +5,6 @@
 #pragma once
 
 // Utilities
-#include "util/log.hpp"
 #include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -53,7 +52,7 @@
 #include "routing/wdm_planner.hpp"
 
 // Simulation
-#include "sim/event_queue.hpp"
+#include "sim/event_engine.hpp"
 #include "sim/flow_sim.hpp"
 #include "sim/trace.hpp"
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <optional>
 
+#include "sim/event_engine.hpp"
 #include "topo/cluster.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -46,6 +48,10 @@ BucketCosts schedule_bucket_costs(const coll::Schedule& schedule) {
   }
   return costs;
 }
+
+/// Engine time <-> the run's wall clock since t = 0.
+TimePoint at(Duration d) { return TimePoint::at_seconds(d.to_seconds()); }
+Duration since_zero(TimePoint t) { return Duration::seconds(t.to_seconds()); }
 
 }  // namespace
 
@@ -121,8 +127,7 @@ void TrainingRun::rebuild_costs() {
   schedule_ = tuner_.build(coll::CollOp::kAllReduce, pick.algo, ids,
                            config_.iteration.bucket_bytes, rate, reconfig);
   const BucketCosts costs = schedule_bucket_costs(schedule_);
-  first_bucket_comm_ = costs.first;
-  steady_bucket_comm_ = costs.steady;
+  timeline_ = core::overlap_buckets(config_.iteration, costs.first, costs.steady);
 }
 
 std::vector<fabric::GlobalTile> TrainingRun::free_tiles() const {
@@ -334,10 +339,7 @@ RunReport TrainingRun::run() {
 
   // Healthy baseline under this policy's own interconnect: the goodput
   // denominator, so the metric isolates availability, not raw bandwidth.
-  const auto healthy =
-      core::overlap_buckets(config_.iteration, first_bucket_comm_, steady_bucket_comm_);
-  report.ideal_time =
-      healthy.report.iteration * static_cast<double>(config_.iterations);
+  report.ideal_time = timeline_.report.iteration * static_cast<double>(config_.iterations);
 
   // Fault arrivals: Poisson over the initial ring's chips, one serial
   // stream; fault contents come from a second stream so adding draws to one
@@ -346,107 +348,40 @@ RunReport TrainingRun::run() {
                               (config_.mtbf_hours * 3600.0);
   Rng arrivals{util::task_seed(config_.seed, 0)};
   Rng fault_stream{util::task_seed(config_.seed, 1)};
-  const bool scripted = !config_.script.empty();
-  std::size_t script_idx = 0;
-  // The next scripted entry, or a Poisson draw after `from`.
-  const auto next_fault_after = [&](Duration from) {
-    if (!scripted) return from + Duration::seconds(arrivals.exponential(rate_per_sec));
-    return script_idx < config_.script.size() ? config_.script[script_idx].at
-                                              : Duration::infinite();
-  };
-  Duration next_fault = next_fault_after(Duration::zero());
-
   // Gray (flap) episodes: an independent Poisson process on its own pair of
   // streams, so enabling the gray layer never perturbs the permanent fault
   // timeline (and flap_rate_per_hour == 0 reproduces it bit-identically).
-  const bool gray_on = config_.flap_rate_per_hour > 0.0;
   const double gray_rate_per_sec = static_cast<double>(members_.size()) *
                                    config_.flap_rate_per_hour / 3600.0;
   Rng gray_arrivals{util::task_seed(config_.seed, 4)};
   Rng gray_stream{util::task_seed(config_.seed, 5)};
-  Duration next_gray =
-      gray_on ? Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec))
-              : Duration::infinite();
 
+  sim::EventEngine engine;
   Duration clock = Duration::zero();
   Duration last_checkpoint = Duration::zero();
   std::uint32_t completed = 0;
+  std::size_t script_idx = 0;
+  // When the pending permanent fault is due (infinite: none pending).
+  Duration fault_due = Duration::infinite();
 
-  while (completed < config_.iterations && members_.size() >= 2) {
-    const auto timeline = core::overlap_buckets(config_.iteration, first_bucket_comm_,
-                                                steady_bucket_comm_);
-    const Duration iter_dur = timeline.report.iteration;
-    const Duration t_fault = std::max(next_fault, clock);
-    const Duration t_gray = std::max(next_gray, clock);
-    const bool gray_first = t_gray < t_fault;
-    const Duration t_f = gray_first ? t_gray : t_fault;
-    if (t_f >= clock + iter_dur) {
-      clock += iter_dur;
-      ++completed;
-      if (clock - last_checkpoint >= config_.checkpoint_interval) {
-        last_checkpoint = clock;
-      }
-      continue;
+  const auto finished = [&] {
+    return completed >= config_.iterations || members_.size() < 2;
+  };
+  const auto finish_iteration = [&](Duration end) {
+    clock = end;
+    ++completed;
+    if (clock - last_checkpoint >= config_.checkpoint_interval) last_checkpoint = clock;
+  };
+  // Completes every iteration that ends at or before `t`: one ending exactly
+  // at a strike completes first.
+  const auto advance = [&](Duration t) {
+    while (!finished() && clock + timeline_.report.iteration <= t) {
+      finish_iteration(clock + timeline_.report.iteration);
     }
-
-    // An event strikes inside this iteration.
-    const Duration offset = t_f - clock;
-    EventOutcome outcome;
-    if (gray_first) {
-      ++report.flap_episodes;
-      outcome = play_gray_episode(t_f, gray_stream, report);
-    } else {
-      const bool mid_collective = timeline.collective_in_flight(offset);
-      std::vector<fault::Fault> faults;
-      if (scripted) {
-        faults = config_.script[script_idx].faults;
-        ++script_idx;
-      } else {
-        faults = injector_.sample(fault_stream);
-      }
-      ++report.fault_events;
-      report.faults_injected += faults.size();
-      if (mid_collective) ++report.mid_collective_faults;
-
-      fault::FaultSet ev;
-      ev.add_all(faults);
-      ev.apply_to(fab_, config_.model.quarantine_threshold);
-      applied_.push_back(std::move(ev));
-      cumulative_.add_all(faults);
-
-      bool any_unhealthy = false;
-      for (const fabric::CircuitId id : circuits_) {
-        if (monitor_.diagnose(fab_, cumulative_, id).health !=
-            fault::CircuitHealth::kHealthy) {
-          any_unhealthy = true;
-          break;
-        }
-      }
-      if (!any_unhealthy) {
-        // Latent fault: no ring circuit degraded, training never notices.
-        next_fault = next_fault_after(t_f);
-        continue;
-      }
-      ++report.detections;
-      gray_.set_now(t_f);  // keep the quarantine view current for the repairs
-
-      if (config_.policy == RunPolicy::kElectricalMigration) {
-        // Rack-granularity baseline: any degraded circuit drains the job and
-        // restarts it on fresh hardware — which also clears the fault
-        // overlay.
-        ++report.migrations;
-        outcome.recovery = config_.migration_latency;
-        outcome.state_loss = true;
-        for (auto it = applied_.rbegin(); it != applied_.rend(); ++it) {
-          it->revert(fab_);
-        }
-        applied_.clear();
-        cumulative_ = fault::FaultSet{};
-      } else {
-        outcome = recover_photonic(report);
-      }
-    }
-
+  };
+  // An event struck at `t_f` inside the iteration in flight: charge
+  // detection and recovery, then roll back or stall.
+  const auto strike = [&](Duration t_f, const EventOutcome& outcome) {
     // Heartbeat detection (gray episodes charge it identically in both
     // arms — the controller still has to look).
     const Duration detect_done = config_.recovery.detected_at(t_f);
@@ -466,22 +401,107 @@ RunReport TrainingRun::run() {
     } else {
       // Pure stall (retune/reroute/dips): the interrupted iteration picks up
       // where it left off and finishes its remaining schedule.
-      clock = resume + (iter_dur - offset);
-      ++completed;
-      if (clock - last_checkpoint >= config_.checkpoint_interval) {
-        last_checkpoint = clock;
-      }
+      finish_iteration(resume + (timeline_.report.iteration - (t_f - clock)));
     }
     report.recover_seconds.push_back((resume - t_f).to_seconds());
 
     if (config_.policy == RunPolicy::kPhotonicRepair) rebuild_costs();
+  };
 
-    if (gray_first) {
-      next_gray = clock + Duration::seconds(gray_arrivals.exponential(gray_rate_per_sec));
-    } else {
-      next_fault = next_fault_after(clock);
+  // Both handlers re-arm themselves; an event held back behind a stall or a
+  // rollback strikes when training resumes.
+  std::function<void()> on_fault;
+  std::function<void()> on_flap;
+  // The next permanent fault after `from`: the next scripted entry (at its
+  // own time, even one already past), or one Poisson gap.
+  const auto arm_fault = [&](Duration from) {
+    if (config_.script.empty()) {
+      fault_due = since_zero(sim::arm(engine, at(from), arrivals, rate_per_sec,
+                                      Duration::infinite(), [&] { on_fault(); }));
+    } else if (script_idx < config_.script.size()) {
+      fault_due = config_.script[script_idx].at;
+      engine.schedule_at(at(fault_due), [&] { on_fault(); });
     }
-  }
+  };
+  const auto arm_flap = [&](Duration from) {
+    sim::arm(engine, at(from), gray_arrivals, gray_rate_per_sec, Duration::infinite(),
+             [&] { on_flap(); });
+  };
+
+  on_fault = [&] {
+    const Duration now = since_zero(engine.now());
+    advance(now);
+    if (finished()) return;
+    fault_due = Duration::infinite();
+    const Duration t_f = std::max(now, clock);
+    const std::vector<fault::Fault> faults = config_.script.empty()
+                                                 ? injector_.sample(fault_stream)
+                                                 : config_.script[script_idx++].faults;
+    ++report.fault_events;
+    report.faults_injected += faults.size();
+    if (timeline_.collective_in_flight(t_f - clock)) ++report.mid_collective_faults;
+
+    fault::FaultSet ev;
+    ev.add_all(faults);
+    ev.apply_to(fab_, config_.model.quarantine_threshold);
+    applied_.push_back(std::move(ev));
+    cumulative_.add_all(faults);
+
+    bool any_unhealthy = false;
+    for (const fabric::CircuitId id : circuits_) {
+      if (monitor_.diagnose(fab_, cumulative_, id).health !=
+          fault::CircuitHealth::kHealthy) {
+        any_unhealthy = true;
+        break;
+      }
+    }
+    if (!any_unhealthy) {
+      // Latent fault: no ring circuit degraded, training never notices.
+      arm_fault(t_f);
+      return;
+    }
+    ++report.detections;
+    gray_.set_now(t_f);  // keep the quarantine view current for the repairs
+
+    EventOutcome outcome;
+    if (config_.policy == RunPolicy::kElectricalMigration) {
+      // Rack-granularity baseline: any degraded circuit drains the job and
+      // restarts it on fresh hardware — which also clears the fault
+      // overlay.
+      ++report.migrations;
+      outcome.recovery = config_.migration_latency;
+      outcome.state_loss = true;
+      for (auto it = applied_.rbegin(); it != applied_.rend(); ++it) {
+        it->revert(fab_);
+      }
+      applied_.clear();
+      cumulative_ = fault::FaultSet{};
+    } else {
+      outcome = recover_photonic(report);
+    }
+    strike(t_f, outcome);
+    arm_fault(clock);
+  };
+
+  on_flap = [&] {
+    const Duration now = since_zero(engine.now());
+    advance(now);
+    if (finished()) return;
+    const Duration t_f = std::max(now, clock);
+    if (t_f >= fault_due) {
+      // A fault due by the same strike time goes first: queue behind it.
+      engine.schedule_at(at(t_f), [&] { on_flap(); });
+      return;
+    }
+    ++report.flap_episodes;
+    strike(t_f, play_gray_episode(t_f, gray_stream, report));
+    arm_flap(clock);
+  };
+
+  arm_fault(Duration::zero());
+  if (config_.flap_rate_per_hour > 0.0) arm_flap(Duration::zero());
+  engine.run();
+  advance(Duration::infinite());  // nothing left to strike: train to the end
 
   report.iterations_completed = completed;
   report.ring_size_final = static_cast<std::uint32_t>(members_.size());

@@ -3,9 +3,10 @@
 // core/training_sim prices one iteration; fault/ injects faults and
 // routing/repair fixes circuits — but nothing connects them in time.  A
 // TrainingRun does: it advances the bucket-overlap iteration model through
-// a deterministic fault timeline drawn from fault::FaultInjector, so faults
-// strike at arbitrary points inside an iteration's compute/communication
-// overlap, and plays out the full job-level response:
+// a deterministic fault timeline drawn from fault::FaultInjector and
+// dispatched on a sim::EventEngine, so faults strike at arbitrary points
+// inside an iteration's compute/communication overlap, and plays out the
+// full job-level response:
 //
 //   fault -> heartbeat detection (next tick + detection latency)
 //         -> recovery (policy-dependent, wall clock charged)
@@ -257,8 +258,8 @@ class TrainingRun {
   coll::Autotuner tuner_;
   coll::Algorithm bucket_algo_{coll::Algorithm::kRing};
   coll::Schedule schedule_;
-  Duration first_bucket_comm_{Duration::zero()};
-  Duration steady_bucket_comm_{Duration::zero()};
+  /// Bucket-overlap timeline of one iteration on the live schedule.
+  core::IterationTimeline timeline_;
   /// Query overlay of every fault so far (never applied to the ledger).
   fault::FaultSet cumulative_;
   /// Per-event applied overlays, in arrival order (reverted on electrical

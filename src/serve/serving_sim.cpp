@@ -77,8 +77,15 @@ class ServingSim {
  private:
   [[nodiscard]] double now_s() const { return engine_.now().to_seconds(); }
 
+  [[nodiscard]] double chips() const {
+    return static_cast<double>(params_.replicas) * params_.tiles_per_replica;
+  }
+
   void setup_replicas();
   void schedule_first_events();
+  /// Next fault / flap one Poisson gap after now, inside the arrival window.
+  void arm_fault();
+  void arm_gray();
 
   void arrival();
   void round(std::size_t r);
@@ -145,29 +152,25 @@ void ServingSim::setup_replicas() {
 }
 
 void ServingSim::schedule_first_events() {
-  const double horizon = params_.horizon.to_seconds();
   const double first = gen_.next_interarrival().to_seconds();
-  if (first <= horizon) {
+  if (first <= params_.horizon.to_seconds()) {
     engine_.schedule_at(TimePoint::at_seconds(first), [this] { arrival(); });
   }
-  const double chips =
-      static_cast<double>(params_.replicas) * params_.tiles_per_replica;
-  if (params_.mtbf_hours > 0.0 && chips > 0.0) {
-    const double rate = chips / (params_.mtbf_hours * 3600.0);
-    const double t_f = fault_rng_.exponential(rate);
-    // Strikes are confined to the arrival window so the drain tail measures
-    // recovery, not fresh damage.
-    if (t_f < horizon) {
-      engine_.schedule_at(TimePoint::at_seconds(t_f), [this] { fault_event(); });
-    }
-  }
-  if (params_.flap_rate_per_hour > 0.0 && chips > 0.0) {
-    const double rate = chips * params_.flap_rate_per_hour / 3600.0;
-    const double t_g = gray_rng_.exponential(rate);
-    if (t_g < horizon) {
-      engine_.schedule_at(TimePoint::at_seconds(t_g), [this] { gray_event(); });
-    }
-  }
+  if (params_.mtbf_hours > 0.0 && chips() > 0.0) arm_fault();
+  if (params_.flap_rate_per_hour > 0.0 && chips() > 0.0) arm_gray();
+}
+
+void ServingSim::arm_fault() {
+  // Strikes are confined to the arrival window so the drain tail measures
+  // recovery, not fresh damage.
+  sim::arm(engine_, engine_.now(), fault_rng_, chips() / (params_.mtbf_hours * 3600.0),
+           params_.horizon, [this] { fault_event(); });
+}
+
+void ServingSim::arm_gray() {
+  sim::arm(engine_, engine_.now(), gray_rng_,
+           chips() * params_.flap_rate_per_hour / 3600.0, params_.horizon,
+           [this] { gray_event(); });
 }
 
 std::size_t ServingSim::resolve_online(std::size_t preferred) const {
@@ -362,14 +365,7 @@ void ServingSim::fault_event() {
 
   const double detect = params_.recovery.detected_at(Duration::seconds(now)).to_seconds();
   engine_.schedule_at(TimePoint::at_seconds(detect), [this] { detection(); });
-
-  const double chips =
-      static_cast<double>(params_.replicas) * params_.tiles_per_replica;
-  const double rate = chips / (params_.mtbf_hours * 3600.0);
-  const double next = now + fault_rng_.exponential(rate);
-  if (next < params_.horizon.to_seconds()) {
-    engine_.schedule_at(TimePoint::at_seconds(next), [this] { fault_event(); });
-  }
+  arm_fault();  // the gap is drawn after the fault contents, from the same stream
 }
 
 void ServingSim::gray_event() {
@@ -406,14 +402,7 @@ void ServingSim::gray_event() {
       }
     }
   }
-
-  const double chips =
-      static_cast<double>(params_.replicas) * params_.tiles_per_replica;
-  const double rate = chips * params_.flap_rate_per_hour / 3600.0;
-  const double next = now + gray_rng_.exponential(rate);
-  if (next < params_.horizon.to_seconds()) {
-    engine_.schedule_at(TimePoint::at_seconds(next), [this] { gray_event(); });
-  }
+  arm_gray();  // likewise after the episode's draws
 }
 
 routing::EscalationOptions ServingSim::base_options() {

@@ -302,4 +302,11 @@ std::size_t EventEngine::run_until(TimePoint until) {
   return processed;
 }
 
+TimePoint arm(EventEngine& engine, TimePoint from, Rng& rng, double rate,
+              Duration horizon, EventEngine::Callback fn) {
+  const TimePoint next = from + Duration::seconds(rng.exponential(rate));
+  if (next.to_seconds() < horizon.to_seconds()) engine.schedule_at(next, std::move(fn));
+  return next;
+}
+
 }  // namespace lp::sim

@@ -1,8 +1,11 @@
-// High-throughput discrete-event engine: a hierarchical calendar (bucket)
+// The library's one discrete-event core: a hierarchical calendar (bucket)
 // queue over slab-allocated event records with a small-buffer handler type.
+// All three fault-driven simulators dispatch through it (TrainingRun,
+// serve::ServingSim, cluster::ClusterScheduler), as does the decentralized
+// router, and they share one Poisson re-arm, arm() below.
 //
-// The original lp::sim::EventQueue (kept in event_queue.hpp as the reference
-// implementation) is a std::priority_queue of std::function closures: every
+// The original lp::sim::EventQueue (now tests/event_queue.hpp, the reference
+// oracle) is a std::priority_queue of std::function closures: every
 // schedule heap-allocates a closure, every dispatch pays O(log n) sift-down
 // plus a std::function move, and at millions of pending events the heap's
 // pointer-chasing comparisons dominate.  The serving simulator needs to
@@ -44,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace lp::sim {
@@ -266,5 +270,13 @@ class EventEngine {
   std::uint64_t next_seq_{0};
   double now_s_{0.0};
 };
+
+/// The Poisson re-arm every fault-driven simulator shares: schedules `fn`
+/// one Exp(rate) gap of `rng` after `from`, only if that lands strictly
+/// before `horizon` (measured from time zero; arrivals, faults and flaps stop
+/// there).  An infinite gap is never scheduled, whatever the horizon.
+/// Returns the drawn time.
+TimePoint arm(EventEngine& engine, TimePoint from, Rng& rng, double rate,
+              Duration horizon, EventEngine::Callback fn);
 
 }  // namespace lp::sim

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -272,6 +273,26 @@ TEST(TrainingRun, HeartbeatDetectionChargesTickPlusLatency) {
   // Heartbeats every 5 ms: the 10.5 ms strike is noticed at 15 ms, diagnosed
   // 100 us later -> 4.6 ms of detection lag.
   EXPECT_NEAR(report.lost.detection.to_seconds(), 4.6e-3, 1e-9);
+}
+
+// A strike exactly at an iteration boundary lands after that iteration
+// completed (and checkpointed), so the rollback replays nothing.
+TEST(TrainingRun, IterationEndingAtAStrikeCompletesFirst) {
+  RunConfig healthy;
+  healthy.iterations = 3;
+  healthy.mtbf_hours = std::numeric_limits<double>::infinity();
+  // The end of iteration 3, summed exactly as the run's clock sums it.
+  const Duration boundary = TrainingRun{healthy}.run().wall_clock;
+
+  RunConfig config;
+  config.iterations = 5;
+  config.checkpoint_interval = Duration::zero();  // every boundary checkpoints
+  config.script = {{boundary, {{.kind = fault::FaultKind::kChipDeath, .tile = {0, 5}}}}};
+  const RunReport report = TrainingRun{config}.run();
+  ASSERT_EQ(report.rollbacks, 1u);
+  EXPECT_EQ(report.lost.redo, Duration::zero())
+      << "iteration 3 ends at the strike, so it completes and checkpoints first";
+  EXPECT_EQ(report.iterations_completed, config.iterations);
 }
 
 TEST(TrainingRun, ChipDeathWithSparesResparesBothRingEdges) {

@@ -4,7 +4,7 @@
 
 #include "collective/alltoall.hpp"
 #include "collective/schedule.hpp"
-#include "sim/event_queue.hpp"
+#include "event_queue.hpp"
 #include "sim/flow_sim.hpp"
 #include "topo/cluster.hpp"
 #include "topo/slice.hpp"

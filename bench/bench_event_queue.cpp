@@ -10,13 +10,16 @@
 //   * fixed heap — sim::EventQueue, the tests' reference oracle
 //     (tests/event_queue.hpp: same heap, move-based dispatch).
 //   * calendar engine — sim::EventEngine (hierarchical calendar buckets over
-//     a slab of 64-byte records, inline handlers, hugepage-backed storage).
+//     a slab of 64-byte records, inline handlers, hugepage-backed storage
+//     once the slab spans megabytes).
 //
 // The issue's headline: the heap baseline cannot sustain the event rate the
 // serving workload implies.  The scaling table quantifies that — the heap
 // collapses below 1e6 events/s once millions of events are pending, while
 // the engine clears 1e7 events/s at the serving operating point (thousands
-// of pending timers) and stays ahead at every equal-footing scale.
+// of pending timers) and stays ahead at every equal-footing scale.  The
+// lifecycle row times one small engine's whole life (construct, 50 events,
+// run, destroy), which every simulator run pays once.
 //
 // --json writes BENCH_event_queue.json for CI artifact upload.
 #include <chrono>
@@ -140,16 +143,44 @@ double steady_state_events_per_s(std::size_t held, std::size_t total,
   return dt > 0.0 ? static_cast<double>(fired) / dt : 0.0;
 }
 
+/// Workload 3 — engine lifecycle: construct, schedule 50 events, run,
+/// destroy, as each simulator run does with its own engine.  Returns the
+/// mean microseconds per engine: first-touch page faults of the slab and
+/// bucket storage, not dispatch, dominate it.
+double engine_lifecycle_us(std::size_t engines, std::uint64_t seed) {
+  constexpr std::size_t kEvents = 50;
+  Rng rng{seed};
+  std::size_t fired = 0;
+  const double t0 = now_seconds();
+  for (std::size_t e = 0; e < engines; ++e) {
+    lp::sim::EventEngine engine;
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      engine.schedule_at(TimePoint::at_seconds(rng.uniform(0.0, 1.0)),
+                         [&fired] { ++fired; });
+    }
+    engine.run();
+  }
+  const double dt = now_seconds() - t0;
+  benchmark::DoNotOptimize(fired);
+  return dt * 1e6 / static_cast<double>(engines);
+}
+
 constexpr std::size_t kBulk = 1'000'000;
 constexpr std::size_t kHeld = 4096;        // serving operating point
 constexpr std::size_t kSteady = 4'000'000;
 constexpr std::size_t kScaleDispatches = 2'000'000;
 constexpr std::size_t kScaleHeld[] = {4096, 65536, 1'048'576, 4'194'304};
+constexpr std::size_t kLifecycleEngines = 200;
 constexpr double kTargetAbs = 1e7;
 constexpr double kTargetSpeedup = 10.0;
 
 void print_report(bool emit_json) {
   lp::bench::header("Event dispatch: calendar engine vs binary-heap baselines");
+
+  // The lifecycle row runs first, on the fresh heap a simulator process
+  // starts with: the large workloads below leave memory that later small
+  // engines would reuse instead of mapping their own.
+  const double lifecycle_us = engine_lifecycle_us(kLifecycleEngines, 4);
 
   // Warm allocators once so first-touch page faults don't skew the timing.
   (void)bulk_drain_events_per_s<lp::sim::EventEngine>(kBulk / 10, 7);
@@ -171,6 +202,9 @@ void print_report(bool emit_json) {
   std::printf("  fixed heap (move dispatch): %10.3e events/s\n", heap_bulk);
   std::printf("  calendar engine           : %10.3e events/s  (%.1fx over seed)\n",
               cal_bulk, cal_bulk / seed_bulk);
+  std::printf("engine lifecycle (construct, 50 events, run, destroy; %zu engines):\n",
+              kLifecycleEngines);
+  std::printf("  calendar engine           : %10.1f us per engine\n", lifecycle_us);
   std::printf("steady state (%zu held timers, %zu dispatches) — "
               "the serving operating point:\n",
               kHeld, kSteady);
@@ -222,6 +256,8 @@ void print_report(bool emit_json) {
     json.key("seed_bulk_events_per_s").value(seed_bulk);
     json.key("heap_bulk_events_per_s").value(heap_bulk);
     json.key("calendar_bulk_events_per_s").value(cal_bulk);
+    json.key("lifecycle_engines").value(static_cast<std::uint64_t>(kLifecycleEngines));
+    json.key("lifecycle_us_per_engine").value(lifecycle_us);
     json.key("steady_held").value(static_cast<std::uint64_t>(kHeld));
     json.key("steady_dispatches").value(static_cast<std::uint64_t>(kSteady));
     json.key("seed_steady_events_per_s").value(seed_steady);

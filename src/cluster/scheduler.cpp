@@ -60,11 +60,10 @@ void ClusterScheduler::fold_digest(std::uint64_t v) {
 void ClusterScheduler::accumulate_metrics(TimePoint to) {
   const double dt = (to - metrics_at_).to_seconds();
   if (dt > 0.0) {
-    // The allocator's per-rack summaries recompute only racks whose chips
-    // changed state since the last event.
-    const topo::FragmentationReport frag = alloc_.fragmentation();
-    const double free = static_cast<double>(frag.total_free);
-    const double stranding = frag.stranding();
+    // The cluster keeps the free count current; the allocator recomputes
+    // the largest shape only of racks whose chips changed state.
+    const double free = static_cast<double>(cluster_.free_count());
+    const double stranding = topo::stranding(alloc_.placeable_sum(), cluster_.free_count());
     const double chips = static_cast<double>(cluster_.chip_count());
     const double failed = static_cast<double>(report_.fatal_chip_failures);
     const double util = (chips - free - failed) / chips;
@@ -156,33 +155,38 @@ bool ClusterScheduler::place_contiguous(Job& job) {
 std::vector<ClusterScheduler::Fragment> ClusterScheduler::harvest(
     std::int32_t volume) {
   // Racks in (free descending, rack ascending) order: the fewest fragments
-  // cover the volume, and ties resolve identically on every run.
-  std::vector<std::pair<std::int32_t, topo::RackId>> order;
-  for (topo::RackId r = 0; r < cluster_.rack_count(); ++r) {
-    const std::int32_t free = alloc_.free_in_rack(r);
-    if (free > 0) order.emplace_back(-free, r);
-  }
-  std::sort(order.begin(), order.end());
-  std::vector<Fragment> out;
+  // cover the volume, and ties resolve identically on every run.  The plan
+  // (one run of chips per rack, in visit order) is marked only once it
+  // covers the volume, so a harvest that falls short touches no chip.
+  harvest_plan_.clear();
+  std::size_t fragments = 0;
   std::int32_t remaining = volume;
-  for (const auto& [neg_free, rack] : order) {
-    if (remaining <= 0) break;
-    if (out.size() >= params_.max_fragments) break;
-    Fragment f;
-    f.rack = rack;
-    const std::int32_t per = cluster_.chips_per_rack();
-    for (std::int32_t i = 0; i < per && remaining > 0; ++i) {
-      const topo::TpuId chip = rack * per + i;
-      if (!takeable(chip)) continue;
-      cluster_.set_state(chip, topo::ChipState::kAllocated);
-      f.chips.push_back(chip);
-      --remaining;
-    }
-    if (!f.chips.empty()) out.push_back(std::move(f));
+  const std::int32_t per = cluster_.chips_per_rack();
+  for (std::int32_t free = cluster_.prev_free_count(per); free > 0;
+       free = cluster_.prev_free_count(free - 1)) {
+    const auto take_rack = [&](topo::RackId rack) {
+      if (remaining <= 0 || fragments >= params_.max_fragments) return false;
+      const std::size_t before = harvest_plan_.size();
+      topo::for_each_bit(cluster_.free_bits(rack), [&](std::int32_t i) {
+        const topo::TpuId chip = rack * per + i;
+        if (takeable(chip)) {
+          harvest_plan_.push_back(chip);
+          --remaining;
+        }
+        return remaining > 0;
+      });
+      if (harvest_plan_.size() > before) ++fragments;
+      return true;
+    };
+    if (!topo::for_each_bit(cluster_.racks_with_free(free), take_rack)) break;
   }
-  if (remaining > 0) {
-    unharvest(out);
-    out.clear();
+  std::vector<Fragment> out;
+  if (remaining > 0) return out;
+  for (const topo::TpuId chip : harvest_plan_) {
+    cluster_.set_state(chip, topo::ChipState::kAllocated);
+    const topo::RackId rack = cluster_.rack_of(chip);
+    if (out.empty() || out.back().rack != rack) out.push_back(Fragment{rack, {}});
+    out.back().chips.push_back(chip);
   }
   return out;
 }

@@ -408,6 +408,7 @@ class ClusterScheduler {
   std::map<topo::Shape, std::deque<Waiting>> queue_;
   std::uint64_t next_seq_{0};
   std::vector<std::int64_t> chip_owner_;  ///< -1 = none
+  std::vector<topo::TpuId> harvest_plan_;  ///< harvest() scratch, reused
   std::uint64_t next_job_id_{0};
   std::uint32_t running_{0};
 

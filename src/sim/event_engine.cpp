@@ -26,28 +26,35 @@ constexpr bool precedes(double when_a, std::uint64_t seq_a, double when_b,
 
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-/// 2 MiB-aligned allocation, hinted for transparent hugepages on Linux.
-/// The slab and bucket arrays are randomly accessed; with 4 KiB pages a
+/// Storage for the slab and the bucket heads.  A `huge` request is a 2 MiB-
+/// aligned block hinted for transparent hugepages on Linux: the slab and
+/// bucket arrays are randomly accessed, and with 4 KiB pages a
 /// multi-hundred-MiB slab blows the TLB and every node visit pays a page
-/// walk on top of the cache miss.
-void* huge_alloc(std::size_t bytes) {
-  const std::size_t rounded = (bytes + kHugePage - 1) & ~(kHugePage - 1);
-  void* p = std::aligned_alloc(kHugePage, rounded);
+/// walk on top of the cache miss.  The hint makes the first touch zero a
+/// whole 2 MiB page, so small engines (one per simulator run) ask for
+/// cache-line-aligned memory instead and fault in only the pages they use.
+void* engine_alloc(std::size_t bytes, bool huge) {
+  const std::size_t align = huge ? kHugePage : std::size_t{64};
+  const std::size_t rounded = (bytes + align - 1) & ~(align - 1);
+  void* p = std::aligned_alloc(align, rounded);
   if (p == nullptr) throw std::bad_alloc{};
 #ifdef __linux__
-  (void)::madvise(p, rounded, MADV_HUGEPAGE);
+  if (huge) (void)::madvise(p, rounded, MADV_HUGEPAGE);
 #endif
   return p;
 }
 
-void huge_free(void* p) { std::free(p); }
+/// Bucket heads go on hugepages only once the array itself spans one.
+std::uint32_t* alloc_heads(std::size_t nbuckets) {
+  const std::size_t bytes = nbuckets * sizeof(std::uint32_t);
+  return static_cast<std::uint32_t*>(engine_alloc(bytes, bytes >= kHugePage));
+}
 
 }  // namespace
 
 EventEngine::EventEngine() {
   nbuckets_ = kMinBuckets;
-  heads_ = static_cast<std::uint32_t*>(
-      huge_alloc(nbuckets_ * sizeof(std::uint32_t)));
+  heads_ = alloc_heads(nbuckets_);
   std::fill_n(heads_, nbuckets_, kNil);
 }
 
@@ -61,8 +68,8 @@ EventEngine::~EventEngine() {
       i = next;
     }
   }
-  huge_free(heads_);
-  for (Slot* chunk : chunks_) huge_free(chunk);
+  std::free(heads_);
+  for (Slot* chunk : chunks_) std::free(chunk);
 }
 
 std::uint32_t EventEngine::alloc_slot() {
@@ -72,7 +79,10 @@ std::uint32_t EventEngine::alloc_slot() {
     return idx;
   }
   if ((slab_used_ & kChunkMask) == 0) {
-    chunks_.push_back(static_cast<Slot*>(huge_alloc(kChunkSize * sizeof(Slot))));
+    // The first chunk serves every small engine; hugepages pay off from the
+    // second, once the slab spans megabytes.
+    chunks_.push_back(
+        static_cast<Slot*>(engine_alloc(kChunkSize * sizeof(Slot), !chunks_.empty())));
   }
   return slab_used_++;
 }
@@ -217,9 +227,8 @@ void EventEngine::resize(std::size_t nbuckets) {
   }
 
   if (nbuckets != nbuckets_) {
-    huge_free(heads_);
-    heads_ = static_cast<std::uint32_t*>(
-        huge_alloc(nbuckets * sizeof(std::uint32_t)));
+    std::free(heads_);
+    heads_ = alloc_heads(nbuckets);
     nbuckets_ = nbuckets;
   }
   std::fill_n(heads_, nbuckets_, kNil);

@@ -252,10 +252,12 @@ class EventEngine {
   /// handler in place, then free its slot.
   void dispatch(std::uint32_t idx, std::uint32_t prev);
 
-  /// Slab chunks and the bucket head array are 2 MiB-aligned allocations
-  /// hinted MADV_HUGEPAGE on Linux: at millions of pending events the slab
-  /// spans hundreds of megabytes of randomly-accessed memory, and 4 KiB
-  /// pages turn every node visit into a TLB walk.
+  /// Slab chunks after the first, and a bucket head array of 2 MiB or
+  /// more, are 2 MiB-aligned allocations hinted MADV_HUGEPAGE on Linux: at
+  /// millions of pending events the slab spans hundreds of megabytes of
+  /// randomly-accessed memory, and 4 KiB pages turn every node visit into a
+  /// TLB walk.  A small engine stays on 4 KiB pages, so it does not zero a
+  /// 2 MiB page per allocation on first touch.
   std::vector<Slot*> chunks_;
   std::vector<std::uint32_t> free_;
   std::uint32_t slab_used_{0};

@@ -1,5 +1,6 @@
 #include "topo/cluster.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace lp::topo {
@@ -10,8 +11,83 @@ TpuCluster::TpuCluster(ClusterConfig config)
       states_(static_cast<std::size_t>(config.racks) *
                   static_cast<std::size_t>(config.rack_shape.size()),
               ChipState::kFree),
-      rack_versions_(static_cast<std::size_t>(config.racks), 0) {
+      rack_versions_(static_cast<std::size_t>(config.racks), 0),
+      rack_words_{(static_cast<std::size_t>(config.rack_shape.size()) + 63) / 64},
+      bucket_words_{(static_cast<std::size_t>(config.racks) + 63) / 64},
+      free_bits_(static_cast<std::size_t>(config.racks) * rack_words_, 0),
+      rack_free_(static_cast<std::size_t>(config.racks), config.rack_shape.size()),
+      free_total_{config.racks * config.rack_shape.size()},
+      buckets_((static_cast<std::size_t>(config.rack_shape.size()) + 1) * bucket_words_, 0),
+      occupied_((static_cast<std::size_t>(config.rack_shape.size()) + 64) / 64, 0) {
   assert(config.racks > 0);
+  // Every chip starts free: every rack sits in the chips_per_rack() bucket.
+  const auto per = static_cast<std::size_t>(chips_per_rack());
+  for (std::size_t rack = 0; rack < rack_free_.size(); ++rack) {
+    for (std::size_t i = 0; i < per; ++i) {
+      free_bits_[rack * rack_words_ + i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    file_rack(rack, chips_per_rack(), true);
+  }
+}
+
+void TpuCluster::index_free(TpuId chip, RackId rack, bool now_free) {
+  const auto r = static_cast<std::size_t>(rack);
+  const auto i = static_cast<std::size_t>(chip - rack * chips_per_rack());
+  std::int32_t& free = rack_free_[r];
+  file_rack(r, free, false);
+  std::uint64_t& word = free_bits_[r * rack_words_ + i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (now_free) {
+    word |= bit;
+    ++free;
+    ++free_total_;
+  } else {
+    word &= ~bit;
+    --free;
+    --free_total_;
+  }
+  file_rack(r, free, true);
+}
+
+void TpuCluster::file_rack(std::size_t rack, std::int32_t free, bool in) {
+  const auto f = static_cast<std::size_t>(free);
+  std::uint64_t* bucket = &buckets_[f * bucket_words_];
+  const std::uint64_t rack_bit = std::uint64_t{1} << (rack % 64);
+  const std::uint64_t count_bit = std::uint64_t{1} << (f % 64);
+  if (in) {
+    bucket[rack / 64] |= rack_bit;
+    occupied_[f / 64] |= count_bit;
+  } else {
+    bucket[rack / 64] &= ~rack_bit;
+    const auto empty = [](std::uint64_t w) { return w == 0; };
+    if (std::all_of(bucket, bucket + bucket_words_, empty)) {
+      occupied_[f / 64] &= ~count_bit;
+    }
+  }
+}
+
+std::int32_t TpuCluster::next_free_count(std::int32_t from) const {
+  if (from > chips_per_rack()) return -1;
+  const auto f = static_cast<std::size_t>(std::max(from, 0));
+  auto w = f / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (f % 64));
+  while (bits == 0) {
+    if (++w == occupied_.size()) return -1;
+    bits = occupied_[w];
+  }
+  return static_cast<std::int32_t>(w * 64) + std::countr_zero(bits);
+}
+
+std::int32_t TpuCluster::prev_free_count(std::int32_t from) const {
+  if (from < 0) return -1;
+  const auto f = static_cast<std::size_t>(std::min(from, chips_per_rack()));
+  auto w = f / 64;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} >> (63 - f % 64));
+  while (bits == 0) {
+    if (w == 0) return -1;
+    bits = occupied_[--w];
+  }
+  return static_cast<std::int32_t>(w * 64 + 63) - std::countl_zero(bits);
 }
 
 std::int32_t TpuCluster::servers_per_rack() const {
@@ -61,10 +137,10 @@ std::vector<TpuId> TpuCluster::chips_in_state(ChipState s) const {
 
 std::vector<TpuId> TpuCluster::free_chips_in_rack(RackId rack) const {
   std::vector<TpuId> out;
-  for (std::int32_t i = 0; i < chips_per_rack(); ++i) {
-    const TpuId chip = rack * chips_per_rack() + i;
-    if (state(chip) == ChipState::kFree) out.push_back(chip);
-  }
+  for_each_bit(free_bits(rack), [&](std::int32_t i) {
+    out.push_back(rack * chips_per_rack() + i);
+    return true;
+  });
   return out;
 }
 

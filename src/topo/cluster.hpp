@@ -14,8 +14,10 @@
 // link (chip, dim, sign) has capacity B/3.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "topo/torus.hpp"
@@ -43,6 +45,18 @@ struct DirectedLink {
 [[nodiscard]] constexpr std::size_t link_key(const DirectedLink& l) {
   return static_cast<std::size_t>(l.chip) * 6 + static_cast<std::size_t>(l.dim) * 2 +
          (l.sign < 0 ? 1u : 0u);
+}
+
+/// Calls `fn(i)` for each set bit `i` of `words`, ascending, while `fn`
+/// returns true; returns false if `fn` stopped the walk.
+template <typename Fn>
+bool for_each_bit(std::span<const std::uint64_t> words, Fn&& fn) {
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t b = words[w]; b != 0; b &= b - 1) {
+      if (!fn(static_cast<std::int32_t>(w * 64) + std::countr_zero(b))) return false;
+    }
+  }
+  return true;
 }
 
 struct ClusterConfig {
@@ -79,18 +93,44 @@ class TpuCluster {
   [[nodiscard]] std::vector<TpuId> server_chips(TpuId chip) const;
 
   [[nodiscard]] ChipState state(TpuId chip) const { return states_[static_cast<std::size_t>(chip)]; }
-  /// Sets a chip's state; a real change bumps its rack's version.
+  /// Sets a chip's state.  The only writer of chip state: a real change
+  /// bumps its rack's version and keeps the free-chip index below current.
   void set_state(TpuId chip, ChipState s) {
     ChipState& cur = states_[static_cast<std::size_t>(chip)];
     if (cur == s) return;
+    const bool was_free = cur == ChipState::kFree;
     cur = s;
-    ++rack_versions_[static_cast<std::size_t>(chip / chips_per_rack())];
+    const RackId rack = chip / chips_per_rack();
+    ++rack_versions_[static_cast<std::size_t>(rack)];
+    if (was_free || s == ChipState::kFree) index_free(chip, rack, s == ChipState::kFree);
   }
   /// Changes whenever any chip of `rack` changes state: consumers that
   /// cache per-rack summaries (SliceAllocator) compare it to revalidate.
   [[nodiscard]] std::uint64_t rack_version(RackId rack) const {
     return rack_versions_[static_cast<std::size_t>(rack)];
   }
+
+  // --- free-chip index, kept current by set_state ---
+
+  /// Number of kFree chips in `rack`, and in the whole cluster.
+  [[nodiscard]] std::int32_t free_in_rack(RackId rack) const {
+    return rack_free_[static_cast<std::size_t>(rack)];
+  }
+  [[nodiscard]] std::int32_t free_count() const { return free_total_; }
+  /// The rack's kFree chips as a bitset: bit i is chip rack * chips_per_rack() + i.
+  [[nodiscard]] std::span<const std::uint64_t> free_bits(RackId rack) const {
+    return {free_bits_.data() + static_cast<std::size_t>(rack) * rack_words_, rack_words_};
+  }
+  /// Racks holding exactly `free` kFree chips (0..chips_per_rack()), as a
+  /// bitset over rack ids.
+  [[nodiscard]] std::span<const std::uint64_t> racks_with_free(std::int32_t free) const {
+    const auto f = static_cast<std::size_t>(free);
+    return {buckets_.data() + f * bucket_words_, bucket_words_};
+  }
+  /// The smallest free count >= `from` (the largest <= `from`) whose
+  /// racks_with_free() bucket is non-empty, or -1 if there is none.
+  [[nodiscard]] std::int32_t next_free_count(std::int32_t from) const;
+  [[nodiscard]] std::int32_t prev_free_count(std::int32_t from) const;
 
   [[nodiscard]] std::vector<TpuId> chips_in_state(ChipState s) const;
   [[nodiscard]] std::vector<TpuId> free_chips_in_rack(RackId rack) const;
@@ -115,10 +155,22 @@ class TpuCluster {
   }
 
  private:
+  /// Moves `chip` into (`now_free`) or out of the free index.
+  void index_free(TpuId chip, RackId rack, bool now_free);
+  /// Puts `rack` into (`in`) or takes it out of the bucket of `free`.
+  void file_rack(std::size_t rack, std::int32_t free, bool in);
+
   ClusterConfig config_;
   Torus rack_torus_;
   std::vector<ChipState> states_;
   std::vector<std::uint64_t> rack_versions_;
+  std::size_t rack_words_;    ///< 64-bit words per rack free bitset
+  std::size_t bucket_words_;  ///< 64-bit words per rack-id bitset
+  std::vector<std::uint64_t> free_bits_;  ///< rack_words_ per rack
+  std::vector<std::int32_t> rack_free_;
+  std::int32_t free_total_;
+  std::vector<std::uint64_t> buckets_;  ///< bucket_words_ per free count
+  std::vector<std::uint64_t> occupied_;  ///< bit f: bucket f is non-empty
 };
 
 }  // namespace lp::topo

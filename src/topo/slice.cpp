@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
-#include <utility>
 
 namespace lp::topo {
 
@@ -35,8 +34,7 @@ SliceAllocator::SliceAllocator(TpuCluster& cluster)
     : cluster_{cluster},
       words_{(static_cast<std::size_t>(cluster.chips_per_rack()) + 63) / 64},
       candidate_index_(static_cast<std::size_t>(cluster.chips_per_rack()), -1),
-      racks_(static_cast<std::size_t>(cluster.rack_count())),
-      free_bits_(racks_.size() * words_),
+      largest_(static_cast<std::size_t>(cluster.rack_count())),
       owner_(static_cast<std::size_t>(cluster.chip_count()), -1) {
   // Candidate shapes in (volume descending, shape lexicographic ascending)
   // order: largest_placeable() answers with the first one that fits.
@@ -111,25 +109,9 @@ const SliceAllocator::Candidate* SliceAllocator::candidate(Shape shape) const {
   return &candidates_[static_cast<std::size_t>(i)];
 }
 
-const SliceAllocator::RackSummary& SliceAllocator::refresh(RackId rack) const {
-  RackSummary& s = racks_[static_cast<std::size_t>(rack)];
-  std::uint64_t* bits = &free_bits_[static_cast<std::size_t>(rack) * words_];
-  std::fill(bits, bits + words_, std::uint64_t{0});
-  const std::int32_t per = cluster_.chips_per_rack();
-  std::int32_t free = 0;
-  for (std::int32_t i = 0; i < per; ++i) {
-    if (cluster_.state(rack * per + i) != ChipState::kFree) continue;
-    bits[i / 64] |= std::uint64_t{1} << (i % 64);
-    ++free;
-  }
-  s.free = free;
-  s.version = cluster_.rack_version(rack);
-  return s;
-}
-
 std::int64_t SliceAllocator::first_fit(RackId rack, const Candidate& c) const {
-  if (summary(rack).free < c.shape.size()) return -1;
-  const std::uint64_t* bits = &free_bits_[static_cast<std::size_t>(rack) * words_];
+  if (cluster_.free_in_rack(rack) < c.shape.size()) return -1;
+  const std::uint64_t* bits = cluster_.free_bits(rack).data();
   for (std::uint32_t i = c.first; i < c.first + c.count; ++i) {
     const std::uint64_t* mask = &masks_[static_cast<std::size_t>(i) * words_];
     bool fits = true;
@@ -180,22 +162,22 @@ Result<SliceId> SliceAllocator::allocate_in_rack(RackId rack, Shape shape) {
 
 Result<SliceId> SliceAllocator::allocate(Shape shape) {
   // Best-fit total order: racks by (free chips ascending, rack id
-  // ascending); a rack is skipped outright when its free count — or its
-  // up-to-date largest placeable volume — cannot cover the shape.  See the
-  // header for the full contract.
+  // ascending), read straight off the cluster's free-count buckets; a rack
+  // whose up-to-date largest placeable volume cannot cover the shape is
+  // skipped.  See the header for the full contract.
   if (const Candidate* c = candidate(shape)) {
     const std::int32_t volume = shape.size();
-    std::vector<std::pair<std::int32_t, RackId>> order;
-    order.reserve(racks_.size());
-    for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
-      const RackSummary& s = summary(rack);
-      if (s.free < volume) continue;
-      if (s.largest_version == s.version && s.largest.size() < volume) continue;
-      order.emplace_back(s.free, rack);
-    }
-    std::sort(order.begin(), order.end());
-    for (const auto& [free, rack] : order) {
-      const std::int64_t at = first_fit(rack, *c);
+    for (std::int32_t free = cluster_.next_free_count(volume); free >= 0;
+         free = cluster_.next_free_count(free + 1)) {
+      RackId rack = -1;
+      std::int64_t at = -1;
+      for_each_bit(cluster_.racks_with_free(free), [&](RackId r) {
+        const LargestCache& l = largest_[static_cast<std::size_t>(r)];
+        if (l.version == cluster_.rack_version(r) && l.shape.size() < volume) return true;
+        rack = r;
+        at = first_fit(r, *c);
+        return at < 0;
+      });
       if (at >= 0) return place(rack, offsets_[static_cast<std::size_t>(at)], shape);
     }
   }
@@ -232,24 +214,28 @@ std::vector<SliceId> SliceAllocator::active_slices() const {
   return out;
 }
 
-std::int32_t SliceAllocator::free_in_rack(RackId rack) const {
-  return summary(rack).free;
-}
-
 Shape SliceAllocator::largest_placeable(RackId rack) const {
-  summary(rack);  // revalidate the free bitset first
-  RackSummary& s = racks_[static_cast<std::size_t>(rack)];
-  if (s.largest_version != s.version) {
-    s.largest = Shape{{0, 0, 0}};
+  LargestCache& l = largest_[static_cast<std::size_t>(rack)];
+  const std::uint64_t version = cluster_.rack_version(rack);
+  if (l.version != version) {
+    l.shape = Shape{{0, 0, 0}};
     for (const Candidate& c : candidates_) {
       if (first_fit(rack, c) >= 0) {
-        s.largest = c.shape;
+        l.shape = c.shape;
         break;
       }
     }
-    s.largest_version = s.version;
+    l.version = version;
   }
-  return s.largest;
+  return l.shape;
+}
+
+std::int32_t SliceAllocator::placeable_sum() const {
+  std::int32_t sum = 0;
+  for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
+    sum += largest_placeable(rack).size();
+  }
+  return sum;
 }
 
 FragmentationReport SliceAllocator::fragmentation() const {
@@ -258,7 +244,7 @@ FragmentationReport SliceAllocator::fragmentation() const {
   for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
     RackFragmentation rf;
     rf.rack = rack;
-    rf.free_chips = free_in_rack(rack);
+    rf.free_chips = cluster_.free_in_rack(rack);
     rf.largest_shape = largest_placeable(rack);
     rf.largest_volume = rf.largest_shape.size();
     report.total_free += rf.free_chips;

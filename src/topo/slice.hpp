@@ -51,6 +51,17 @@ struct RackFragmentation {
   std::int32_t largest_volume{0};
 };
 
+/// Fraction of `total_free` chips stranded outside each rack's largest
+/// placeable cuboid, whose volumes sum to `placeable_sum`: 0 = perfectly
+/// compact, -> 1 = free capacity exists but no regular slice can use most
+/// of it.
+[[nodiscard]] constexpr double stranding(std::int32_t placeable_sum,
+                                        std::int32_t total_free) {
+  return total_free == 0
+             ? 0.0
+             : 1.0 - static_cast<double>(placeable_sum) / static_cast<double>(total_free);
+}
+
 struct FragmentationReport {
   std::vector<RackFragmentation> racks;
   std::int32_t total_free{0};
@@ -59,13 +70,9 @@ struct FragmentationReport {
   /// Sum of per-rack largest placeable volumes.
   std::int32_t placeable_sum{0};
 
-  /// Fraction of free chips stranded outside each rack's largest placeable
-  /// cuboid: 0 = perfectly compact, -> 1 = free capacity exists but no
-  /// regular slice can use most of it.
+  /// topo::stranding() of this report's totals.
   [[nodiscard]] double stranding() const {
-    return total_free == 0
-               ? 0.0
-               : 1.0 - static_cast<double>(placeable_sum) / static_cast<double>(total_free);
+    return topo::stranding(placeable_sum, total_free);
   }
 };
 
@@ -73,15 +80,17 @@ struct FragmentationReport {
 ///
 /// Fit tests are word-wise ANDs: construction enumerates every candidate
 /// shape of the rack in (volume descending, shape ascending) order together
-/// with one chip mask per row-major offset, and each rack's free chips are
-/// kept as a bitset of the same layout.  The allocator owns the per-rack
-/// summaries (free bitset, free count, largest placeable shape) and
-/// revalidates them lazily against TpuCluster::rack_version(), so any state
-/// change — through this allocator or straight on the cluster — is seen on
-/// the next query.  The cluster must outlive the allocator and must not be
-/// replaced wholesale (assigned over) while the allocator is bound to it.
-/// The summaries are caches behind const queries: an allocator is not safe
-/// to query from several threads at once.
+/// with one chip mask per row-major offset, in the layout of
+/// TpuCluster::free_bits().  The cluster owns the free-chip index (per-rack
+/// free bitsets and counts, racks bucketed by free count), which
+/// TpuCluster::set_state keeps current; the allocator caches only each
+/// rack's largest placeable shape and revalidates it lazily against
+/// TpuCluster::rack_version(), so any state change — through this allocator
+/// or straight on the cluster — is seen on the next query.  The cluster
+/// must outlive the allocator and must not be replaced wholesale (assigned
+/// over) while the allocator is bound to it.  The shape cache sits behind
+/// const queries: an allocator is not safe to query from several threads
+/// at once.
 class SliceAllocator {
  public:
   explicit SliceAllocator(TpuCluster& cluster);
@@ -103,8 +112,10 @@ class SliceAllocator {
   /// allocators whose racks hold identical free/allocated/failed sets place
   /// the next slice identically, no matter what alloc/release history
   /// produced those sets (permutation-invariance regression in topo_test).
-  /// Racks whose free count, or whose up-to-date largest placeable volume,
-  /// is below the shape's volume are skipped without probing.
+  /// The walk reads the cluster's free-count buckets from the shape's
+  /// volume upward, racks ascending within each; a rack whose up-to-date
+  /// largest placeable volume is below the shape's volume is skipped
+  /// without probing.
   Result<SliceId> allocate(Shape shape);
 
   /// The within-rack leg of allocate()'s order: first row-major offset at
@@ -120,17 +131,18 @@ class SliceAllocator {
   /// Owning slice of a chip, or nullopt if free/failed/unowned.
   [[nodiscard]] std::optional<SliceId> owner(TpuId chip) const;
 
-  /// Number of kFree chips in `rack`.
-  [[nodiscard]] std::int32_t free_in_rack(RackId rack) const;
-
   /// Largest-volume shape placeable entirely on free chips of `rack`
   /// (ties broken by lexicographically smallest shape); {0,0,0} if none.
   /// Cached per rack until the rack's chips change state.
   [[nodiscard]] Shape largest_placeable(RackId rack) const;
 
-  /// Full free/fragmentation accounting, one entry per rack, from the
-  /// per-rack summaries: only racks whose chips changed state since the
-  /// last query are recomputed.
+  /// Sum over racks of the largest placeable volume: the numerator of
+  /// FragmentationReport::stranding() without building the report.
+  [[nodiscard]] std::int32_t placeable_sum() const;
+
+  /// Full free/fragmentation accounting, one entry per rack: only racks
+  /// whose chips changed state since the last query recompute their
+  /// largest shape.
   [[nodiscard]] FragmentationReport fragmentation() const;
 
   [[nodiscard]] TpuCluster& cluster() { return cluster_; }
@@ -145,25 +157,16 @@ class SliceAllocator {
     std::uint32_t count{0};
   };
 
-  /// Cached view of one rack, valid while `version` equals the cluster's
-  /// rack_version(); the largest shape is valid while `largest_version`
-  /// does.  The free bitset lives in free_bits_.
-  struct RackSummary {
+  /// A rack's largest placeable shape, valid while `version` equals the
+  /// cluster's rack_version().
+  struct LargestCache {
     std::uint64_t version{~std::uint64_t{0}};
-    std::uint64_t largest_version{~std::uint64_t{0}};
-    std::int32_t free{0};
-    Shape largest{{0, 0, 0}};
+    Shape shape{{0, 0, 0}};
   };
 
   /// Candidate entry for `shape`, or nullptr when it has a non-positive
   /// extent or exceeds the rack in some dimension.
   [[nodiscard]] const Candidate* candidate(Shape shape) const;
-  /// The rack's summary, rebuilt from chip states if the rack changed.
-  const RackSummary& summary(RackId rack) const {
-    const RackSummary& s = racks_[static_cast<std::size_t>(rack)];
-    return s.version == cluster_.rack_version(rack) ? s : refresh(rack);
-  }
-  const RackSummary& refresh(RackId rack) const;
   /// Index (into offsets_) of the first row-major offset at which `c`
   /// fits on free chips of `rack`, or -1.
   [[nodiscard]] std::int64_t first_fit(RackId rack, const Candidate& c) const;
@@ -176,8 +179,7 @@ class SliceAllocator {
   std::vector<std::int32_t> candidate_index_;  ///< by extents - 1, row-major
   std::vector<Coord> offsets_;
   std::vector<std::uint64_t> masks_;    ///< words_ per offset
-  mutable std::vector<RackSummary> racks_;
-  mutable std::vector<std::uint64_t> free_bits_;  ///< words_ per rack
+  mutable std::vector<LargestCache> largest_;  ///< per rack
   std::vector<Slice> slices_;
   std::vector<bool> live_;
   std::vector<std::int32_t> owner_;  ///< per chip, -1 = none

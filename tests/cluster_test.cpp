@@ -168,6 +168,40 @@ TEST(ClusterScheduler, AbortedMorphFallsThroughToRequeueUnderStrictFloor) {
   EXPECT_EQ(a.digest, n.digest);
 }
 
+// A harvest that falls short changes nothing (DESIGN.md §10): not the
+// outcome, and not a single chip state, so no rack version moves either.
+// Rack 0 is full and rack 1 half full while a third rack-filling job waits:
+// every harvest for it finds 32 free chips of the 64 it needs.  With
+// morphing off the scheduler never harvests, so both runs must end in the
+// same digest with the same rack versions.
+TEST(ClusterScheduler, HarvestThatFallsShortTouchesNoChip) {
+  ClusterParams p;
+  p.cluster.racks = 2;
+  p.mtbf_hours = 0.0;
+  p.horizon = Duration::seconds(5.0);
+  p.drain = Duration::seconds(120.0);
+  p.fabric_wafers = 2;
+  p.job_script = {
+      {Duration::seconds(0.1), Shape{{4, 4, 4}}, Duration::seconds(20.0)},
+      {Duration::seconds(0.2), Shape{{4, 4, 2}}, Duration::seconds(10.0)},
+      {Duration::seconds(0.3), Shape{{4, 4, 4}}, Duration::seconds(5.0)},
+      {Duration::seconds(0.4), Shape{{2, 2, 1}}, Duration::seconds(5.0)},
+  };
+  ClusterScheduler morphing{p};
+  const ClusterReport m = morphing.run();
+  p.morph_enabled = false;
+  ClusterScheduler never{p};
+  const ClusterReport n = never.run();
+
+  EXPECT_EQ(m.placed_morphed, 0u);
+  EXPECT_EQ(m.completed, 4u);
+  EXPECT_EQ(m.digest, n.digest);
+  for (topo::RackId r = 0; r < p.cluster.racks; ++r) {
+    EXPECT_EQ(morphing.cluster().rack_version(r), never.cluster().rack_version(r))
+        << "rack " << r;
+  }
+}
+
 // The electrical baseline drains a job for ANY fault that touches it —
 // component faults included (the §4.2 blast-radius point) — and pays the
 // rack-granularity migration charge.

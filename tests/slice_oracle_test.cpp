@@ -4,15 +4,19 @@
 // contract: largest_placeable() re-sorts every candidate shape and
 // tests it cell by cell at every offset, and allocate() visits racks in
 // (free ascending, id ascending) order and tries every row-major offset.
-// The production allocator answers the same questions from cached per-rack
-// summaries and precomputed chip masks; this property test holds it to the
+// The production allocator answers the same questions from the cluster's
+// free-chip index (kept current by TpuCluster::set_state), cached largest
+// shapes and precomputed chip masks; this property test holds it to the
 // reference's answers on random free/allocated/failed clusters, for the
 // TPUv4 4x4x4 rack and a 3x5x6 rack whose 90 chips span two mask words.
+// After every step it also recounts the index itself from state(), on the
+// cluster and on a copy of it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -139,18 +143,79 @@ Shape random_shape(Rng& rng, const Shape& rack_shape) {
   return s;
 }
 
+bool bit_set(std::span<const std::uint64_t> words, std::int32_t i) {
+  const auto u = static_cast<std::size_t>(i);
+  return u / 64 < words.size() && ((words[u / 64] >> (u % 64)) & 1u) != 0;
+}
+
+/// The cluster's free-chip index against a recount from state(): per-rack
+/// and total free counts, each rack's free bitset (no stray bits past the
+/// rack's chips), each rack in exactly the bucket of its free count, and
+/// the non-empty bucket search in both directions.
+void expect_index_matches(const TpuCluster& cluster, int step) {
+  const std::int32_t per = cluster.chips_per_rack();
+  std::int32_t total = 0;
+  for (RackId rack = 0; rack < cluster.rack_count(); ++rack) {
+    const std::int32_t free = ref_free_in_rack(cluster, rack);
+    ASSERT_EQ(cluster.free_in_rack(rack), free) << "rack " << rack << " step " << step;
+    total += free;
+    const auto bits = cluster.free_bits(rack);
+    ASSERT_EQ(bits.size(), (static_cast<std::size_t>(per) + 63) / 64);
+    for (std::int32_t i = 0; i < static_cast<std::int32_t>(bits.size()) * 64; ++i) {
+      const bool want = i < per && cluster.state(rack * per + i) == ChipState::kFree;
+      ASSERT_EQ(bit_set(bits, i), want)
+          << "rack " << rack << " bit " << i << " step " << step;
+    }
+    for (std::int32_t f = 0; f <= per; ++f) {
+      ASSERT_EQ(bit_set(cluster.racks_with_free(f), rack), f == free)
+          << "rack " << rack << " bucket " << f << " step " << step;
+    }
+  }
+  ASSERT_EQ(cluster.free_count(), total) << "step " << step;
+  std::vector<bool> occupied(static_cast<std::size_t>(per) + 1, false);
+  for (RackId rack = 0; rack < cluster.rack_count(); ++rack) {
+    occupied[static_cast<std::size_t>(ref_free_in_rack(cluster, rack))] = true;
+  }
+  for (std::int32_t from = -1; from <= per + 1; ++from) {
+    std::int32_t next = -1;
+    for (std::int32_t f = std::max(from, 0); f <= per && next < 0; ++f) {
+      if (occupied[static_cast<std::size_t>(f)]) next = f;
+    }
+    std::int32_t prev = -1;
+    for (std::int32_t f = std::min(from, per); f >= 0 && prev < 0; --f) {
+      if (occupied[static_cast<std::size_t>(f)]) prev = f;
+    }
+    ASSERT_EQ(cluster.next_free_count(from), next) << "from " << from << " step " << step;
+    ASSERT_EQ(cluster.prev_free_count(from), prev) << "from " << from << " step " << step;
+  }
+  for (std::int32_t f = 0; f <= per; ++f) {
+    const auto bucket = cluster.racks_with_free(f);
+    const auto width = static_cast<std::int32_t>(bucket.size()) * 64;
+    for (std::int32_t r = cluster.rack_count(); r < width; ++r) {
+      ASSERT_FALSE(bit_set(bucket, r)) << "bucket " << f << " names rack " << r;
+    }
+  }
+}
+
+/// The index on `cluster` and on a copy of it (a copy carries its own
+/// index: perfbench replays allocations on one).
+void expect_index_and_copy_match(const TpuCluster& cluster, int step) {
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches(cluster, step));
+  const TpuCluster copy = cluster;
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches(copy, step));
+}
+
 void expect_summaries_match(const SliceAllocator& alloc, const TpuCluster& cluster,
                             int step) {
   std::int32_t total_free = 0;
   std::int32_t placeable = 0;
   for (RackId rack = 0; rack < cluster.rack_count(); ++rack) {
-    const std::int32_t free = ref_free_in_rack(cluster, rack);
     const Shape largest = ref_largest_placeable(cluster, rack);
-    ASSERT_EQ(alloc.free_in_rack(rack), free) << "rack " << rack << " step " << step;
     ASSERT_EQ(alloc.largest_placeable(rack), largest) << "rack " << rack << " step " << step;
-    total_free += free;
+    total_free += ref_free_in_rack(cluster, rack);
     placeable += largest.size();
   }
+  ASSERT_EQ(alloc.placeable_sum(), placeable) << "step " << step;
   const FragmentationReport frag = alloc.fragmentation();
   ASSERT_EQ(frag.total_free, total_free) << "step " << step;
   ASSERT_EQ(frag.placeable_sum, placeable) << "step " << step;
@@ -166,10 +231,12 @@ void run_case(std::uint64_t index) {
   // cluster (its racks carry nonzero versions from the start); the other
   // half populate after the allocator exists, behind its back.
   TpuCluster source{config};
+  ASSERT_NO_FATAL_FAILURE(expect_index_matches(source, -2));
   const bool prepopulated = index % 4 < 2;
   if (prepopulated) populate(source, rng);
   TpuCluster cluster = source;
   SliceAllocator alloc{cluster};
+  ASSERT_NO_FATAL_FAILURE(expect_index_and_copy_match(cluster, -1));
   if (!prepopulated) {
     expect_summaries_match(alloc, cluster, -1);  // warm the caches first
     populate(cluster, rng);
@@ -212,15 +279,17 @@ void run_case(std::uint64_t index) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
       // A fault or a repair straight on the cluster, bypassing the
-      // allocator: a free chip fails, or a failed chip comes back.
+      // allocator: a free or allocated chip fails, or a failed chip comes
+      // back.
       const auto chip = static_cast<TpuId>(
           rng.uniform_index(static_cast<std::uint64_t>(cluster.chip_count())));
-      if (cluster.state(chip) == ChipState::kFree) {
+      if (cluster.state(chip) != ChipState::kFailed) {
         cluster.set_state(chip, ChipState::kFailed);
       } else if (cluster.state(chip) == ChipState::kFailed && !alloc.owner(chip)) {
         cluster.set_state(chip, ChipState::kFree);
       }
     }
+    ASSERT_NO_FATAL_FAILURE(expect_index_and_copy_match(cluster, step));
   }
   expect_summaries_match(alloc, cluster, 24);
 }

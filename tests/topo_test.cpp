@@ -241,8 +241,10 @@ TEST(Allocator, FragmentationReportAccountsFreeAndPlaceable) {
   EXPECT_GT(r.stranding(), 0.0);
   EXPECT_DOUBLE_EQ(r.stranding(), 1.0 - (16.0 + 48.0) / (16.0 + 63.0));
   std::int32_t free_sum = 0;
-  for (RackId rack = 0; rack < config.racks; ++rack) free_sum += alloc.free_in_rack(rack);
+  for (RackId rack = 0; rack < config.racks; ++rack) free_sum += cluster.free_in_rack(rack);
   EXPECT_EQ(free_sum, r.total_free);
+  EXPECT_EQ(cluster.free_count(), r.total_free);
+  EXPECT_EQ(alloc.placeable_sum(), r.placeable_sum);
 }
 
 // allocate()'s documented total order is a pure function of the chip-state

@@ -141,9 +141,7 @@ bool ClusterScheduler::place_contiguous(Job& job) {
   job.morphed = false;
   job.chips.clear();
   const topo::Slice* s = alloc_.slice(job.slice);
-  for (const topo::Coord c : s->coords()) {
-    job.chips.push_back(cluster_.chip_at(s->rack, c));
-  }
+  s->for_each_coord([&](topo::Coord c) { job.chips.push_back(cluster_.chip_at(s->rack, c)); });
   std::sort(job.chips.begin(), job.chips.end());
   for (const topo::TpuId c : job.chips) {
     chip_owner_[static_cast<std::size_t>(c)] = static_cast<std::int64_t>(job.id);

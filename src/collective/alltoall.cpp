@@ -57,7 +57,7 @@ Schedule build_all_to_all_schedule(const topo::TpuCluster& cluster,
                                    Interconnect interconnect, const CostParams& params) {
   Schedule schedule;
   std::vector<topo::TpuId> chips;
-  for (const topo::Coord& c : slice.coords()) chips.push_back(cluster.chip_at(slice.rack, c));
+  slice.for_each_coord([&](topo::Coord c) { chips.push_back(cluster.chip_at(slice.rack, c)); });
   const std::size_t p = chips.size();
   if (p != demand.size || p < 2) return schedule;
 

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "collective/autotuner.hpp"
@@ -20,17 +21,31 @@ namespace {
 using fabric::CircuitId;
 using fabric::GlobalTile;
 
-/// One request resident in a replica's queue or batch.
+constexpr std::uint32_t kNil = 0xffffffffu;
+
+/// One request waiting in a replica's queue.
 struct Request {
   double arrival{0.0};  ///< seconds
   std::uint32_t prefill_tokens{1};
-  std::uint32_t prefill_left{1};
-  std::uint32_t decode_left{1};
+  std::uint32_t decode_tokens{1};
   std::size_t prefill_replica{0};
   bool migrate{false};
+};
+
+/// One sequence resident in a replica's batch: all its retirement needs.
+/// Residents live in ServingSim's pool and link into wheel slots by index.
+struct Resident {
+  double arrival{0.0};  ///< seconds
   /// KV-migration latency charged at admission, folded into the request's
   /// completion latency (the decode stream starts that much later).
   double extra{0.0};
+  std::uint32_t next{kNil};
+};
+
+/// A FIFO list of residents, linked through Resident::next.
+struct Fifo {
+  std::uint32_t head{kNil};
+  std::uint32_t tail{kNil};
 };
 
 struct Replica {
@@ -45,7 +60,14 @@ struct Replica {
   /// rebuilds; HostStack traffic rides its own cached circuits.
   std::vector<CircuitId> backbone;
   std::deque<Request> queue;
-  std::vector<Request> batch;
+  /// Completion wheel: the batch's residents, filed at admission under the
+  /// round they retire in (slot = round number & wheel mask), in admission
+  /// order.
+  std::vector<Fifo> wheel;
+  /// Rounds this replica has run: the number of the next one.
+  std::uint64_t rounds_run{0};
+  /// Residents across the wheel: the batch size.
+  std::uint32_t active{0};
   double paused_until{0.0};
   std::uint32_t rotation{0};
   bool round_scheduled{false};
@@ -83,6 +105,8 @@ class ServingSim {
 
   void setup_replicas();
   void schedule_first_events();
+  /// Holds the next arrival at `at` seconds if it lands inside the window.
+  void arm_arrival(double at);
   /// Next fault / flap one Poisson gap after now, inside the arrival window.
   void arm_fault();
   void arm_gray();
@@ -95,7 +119,10 @@ class ServingSim {
 
   void kick(std::size_t r, double at);
   void admit(std::size_t r);
-  void complete(const Request& q, double done_t);
+  /// Files a new resident under its last round, `rounds` rounds on
+  /// counting the one being run.
+  void enlist(Replica& rep, double arrival, double extra, std::uint64_t rounds);
+  void complete(const Resident& s, double done_t);
   void take_offline(std::size_t r);
   [[nodiscard]] std::size_t resolve_online(std::size_t preferred) const;
   [[nodiscard]] routing::EscalationOptions base_options();
@@ -122,7 +149,23 @@ class ServingSim {
   Bandwidth tuner_rate_{Bandwidth::zero()};
   Duration tuner_reconfig_{Duration::zero()};
 
+  /// The next open-loop arrival.  The Poisson stream does not depend on
+  /// the simulation, so it stays out of the calendar queue: run() merges it
+  /// into the engine's order with the seq it reserved where the arrival
+  /// would have been scheduled.
+  struct PendingArrival {
+    TimePoint when;
+    std::uint64_t seq{0};
+  };
+  std::optional<PendingArrival> next_arrival_;
+
   std::vector<Replica> replicas_;
+  /// Every replica's residents; free slots chain from free_resident_.
+  std::vector<Resident> residents_;
+  std::uint32_t free_resident_{kNil};
+  /// Wheel slots per replica minus one; the slot count is a power of two at
+  /// least as large as the longest request's round count.
+  std::uint64_t wheel_mask_{0};
   std::vector<double> latencies_;
   ServingReport report_;
 };
@@ -130,9 +173,17 @@ class ServingSim {
 void ServingSim::setup_replicas() {
   const auto& wafer = fab_.wafer(0);
   const auto tiles = static_cast<std::int32_t>(params_.tiles_per_replica);
+  // The generator clamps token counts to [1, max(1, *_tokens_max)].
+  const TrafficParams& tp = params_.traffic;
+  const std::uint64_t chunk = params_.prefill_chunk;
+  const std::uint64_t longest =
+      (std::max<std::uint64_t>(tp.prefill_tokens_max, 1) + chunk - 1) / chunk +
+      std::max<std::uint64_t>(tp.decode_tokens_max, 1);
+  wheel_mask_ = std::bit_ceil(longest) - 1;
   replicas_.resize(params_.replicas);
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     Replica& rep = replicas_[r];
+    rep.wheel.resize(wheel_mask_ + 1);
     rep.tiles.reserve(params_.tiles_per_replica);
     for (std::int32_t t = 0; t < tiles; ++t) {
       rep.tiles.push_back(GlobalTile{
@@ -152,12 +203,17 @@ void ServingSim::setup_replicas() {
 }
 
 void ServingSim::schedule_first_events() {
-  const double first = gen_.next_interarrival().to_seconds();
-  if (first <= params_.horizon.to_seconds()) {
-    engine_.schedule_at(TimePoint::at_seconds(first), [this] { arrival(); });
-  }
+  arm_arrival(gen_.next_interarrival().to_seconds());
   if (params_.mtbf_hours > 0.0 && chips() > 0.0) arm_fault();
   if (params_.flap_rate_per_hour > 0.0 && chips() > 0.0) arm_gray();
+}
+
+void ServingSim::arm_arrival(double at) {
+  if (at <= params_.horizon.to_seconds()) {
+    next_arrival_ = PendingArrival{TimePoint::at_seconds(at), engine_.reserve_seq()};
+  } else {
+    next_arrival_.reset();
+  }
 }
 
 void ServingSim::arm_fault() {
@@ -199,8 +255,7 @@ void ServingSim::arrival() {
     Request q;
     q.arrival = now;
     q.prefill_tokens = spec.prefill_tokens;
-    q.prefill_left = spec.prefill_tokens;
-    q.decode_left = spec.decode_tokens;
+    q.decode_tokens = spec.decode_tokens;
     const std::size_t pr = resolve_online(spec.prefill_replica);
     // A prefill host that died re-runs prefill locally: no migration flow.
     q.migrate = spec.migrate && pr < replicas_.size() && pr != r;
@@ -209,17 +264,16 @@ void ServingSim::arrival() {
     rep.queue.push_back(q);
     kick(r, std::max(now, rep.paused_until));
   }
-  const double next = now + gen_.next_interarrival().to_seconds();
-  if (next <= params_.horizon.to_seconds()) {
-    engine_.schedule_at(TimePoint::at_seconds(next), [this] { arrival(); });
-  }
+  arm_arrival(now + gen_.next_interarrival().to_seconds());
 }
 
 void ServingSim::admit(std::size_t r) {
   Replica& rep = replicas_[r];
-  while (rep.batch.size() < params_.batch_capacity && !rep.queue.empty()) {
-    Request q = rep.queue.front();
+  while (rep.active < params_.batch_capacity && !rep.queue.empty()) {
+    const Request q = rep.queue.front();
     rep.queue.pop_front();
+    std::uint32_t prefill_left = q.prefill_tokens;
+    double extra = 0.0;
     if (q.migrate) {
       // Pull the KV cache from the prefill host before decoding.  The
       // autotuner decides the transfer shape: small prompts go as one bulk
@@ -241,38 +295,62 @@ void ServingSim::admit(std::size_t r) {
       if (pick.algo == coll::Algorithm::kStriped && ways > 1) {
         ++report_.kv_striped;
         const DataSize per_stripe = bytes / static_cast<double>(ways);
-        double extra = 0.0;
+        double stripe_extra = 0.0;
         bool ok = true;
         for (std::uint32_t i = 0; i < ways && ok; ++i) {
           const auto sent = host_.send(src.tiles[i], rep.tiles[i], per_stripe);
           if (sent.ok()) {
-            extra = std::max(extra, sent.value().to_seconds());
+            stripe_extra = std::max(stripe_extra, sent.value().to_seconds());
           } else {
             ok = false;
           }
         }
         if (ok) {
-          q.extra = extra;  // stripes land in parallel; slowest one gates
-          q.prefill_left = 0;
+          extra = stripe_extra;  // stripes land in parallel; slowest one gates
+          prefill_left = 0;
         } else {
           ++report_.send_failures;  // fabric too broken to migrate: re-prefill
         }
       } else {
         const auto sent = host_.send(src.tiles[0], rep.tiles[0], bytes);
         if (sent.ok()) {
-          q.extra = sent.value().to_seconds();
-          q.prefill_left = 0;  // prefill already ran remotely
+          extra = sent.value().to_seconds();
+          prefill_left = 0;  // prefill already ran remotely
         } else {
           ++report_.send_failures;  // fabric too broken to migrate: re-prefill
         }
       }
     }
-    rep.batch.push_back(q);
+    // A round retires one prefill chunk, or one decode token once prefill
+    // is done, and the sequence leaves after the round that retires its
+    // last token (or after one round if it has none left).
+    const std::uint64_t chunk = params_.prefill_chunk;
+    enlist(rep, q.arrival, extra,
+           std::max<std::uint64_t>(1, (prefill_left + chunk - 1) / chunk + q.decode_tokens));
   }
 }
 
-void ServingSim::complete(const Request& q, double done_t) {
-  const double latency = done_t - q.arrival + q.extra;
+void ServingSim::enlist(Replica& rep, double arrival, double extra, std::uint64_t rounds) {
+  std::uint32_t i = free_resident_;
+  if (i == kNil) {
+    i = static_cast<std::uint32_t>(residents_.size());
+    residents_.emplace_back();
+  } else {
+    free_resident_ = residents_[i].next;
+  }
+  residents_[i] = Resident{arrival, extra, kNil};
+  Fifo& slot = rep.wheel[(rep.rounds_run + rounds - 1) & wheel_mask_];
+  if (slot.tail == kNil) {
+    slot.head = i;
+  } else {
+    residents_[slot.tail].next = i;
+  }
+  slot.tail = i;
+  ++rep.active;
+}
+
+void ServingSim::complete(const Resident& s, double done_t) {
+  const double latency = done_t - s.arrival + s.extra;
   ++report_.completed;
   if (latency <= params_.slo.to_seconds()) ++report_.met_slo;
   latencies_.push_back(latency);
@@ -290,10 +368,10 @@ void ServingSim::round(std::size_t r) {
     return;
   }
   admit(r);
-  if (rep.batch.empty()) return;  // idle; the next arrival re-kicks
+  if (rep.active == 0) return;  // idle; the next arrival re-kicks
 
   ++report_.rounds;
-  const double active = static_cast<double>(rep.batch.size());
+  const double active = static_cast<double>(rep.active);
 
   // MoE expert all-to-all: every tile exchanges its shard each round; the
   // round waits for the slowest exchange.  The autotuner picks the pattern
@@ -334,24 +412,20 @@ void ServingSim::round(std::size_t r) {
                            params_.round_per_seq.to_seconds() * active + comm;
   const double done_t = now + round_dur;
 
-  // Advance every sequence one round; retire finished ones in batch order.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < rep.batch.size(); ++i) {
-    Request& q = rep.batch[i];
-    if (q.prefill_left > 0) {
-      q.prefill_left -= std::min(params_.prefill_chunk, q.prefill_left);
-    } else if (q.decode_left > 0) {
-      --q.decode_left;
-    }
-    if (q.prefill_left == 0 && q.decode_left == 0) {
-      complete(q, done_t);
-    } else {
-      rep.batch[keep++] = q;
-    }
+  // Retire the sequences whose last round this is, in admission order.
+  Fifo& due = rep.wheel[rep.rounds_run++ & wheel_mask_];
+  for (std::uint32_t i = due.head; i != kNil;) {
+    Resident& s = residents_[i];
+    complete(s, done_t);
+    const std::uint32_t next = s.next;
+    s.next = free_resident_;
+    free_resident_ = i;
+    i = next;
+    --rep.active;
   }
-  rep.batch.resize(keep);
+  due = Fifo{};
 
-  if (!rep.batch.empty() || !rep.queue.empty()) kick(r, done_t);
+  if (rep.active > 0 || !rep.queue.empty()) kick(r, done_t);
 }
 
 void ServingSim::fault_event() {
@@ -398,7 +472,7 @@ void ServingSim::gray_event() {
       if (pause > Duration::zero()) {
         rep.paused_until = std::max(rep.paused_until, now + pause.to_seconds());
         report_.flap_stall += pause;
-        if (!rep.batch.empty() || !rep.queue.empty()) kick(r, rep.paused_until);
+        if (rep.active > 0 || !rep.queue.empty()) kick(r, rep.paused_until);
       }
     }
   }
@@ -420,8 +494,14 @@ void ServingSim::take_offline(std::size_t r) {
   Replica& rep = replicas_[r];
   rep.online = false;
   ++report_.replicas_offline;
-  report_.abandoned += rep.batch.size() + rep.queue.size();
-  rep.batch.clear();
+  report_.abandoned += rep.active + rep.queue.size();
+  for (Fifo& slot : rep.wheel) {
+    if (slot.head == kNil) continue;
+    residents_[slot.tail].next = free_resident_;
+    free_resident_ = slot.head;
+    slot = Fifo{};
+  }
+  rep.active = 0;
   rep.queue.clear();
   for (const CircuitId id : rep.backbone) {
     if (fab_.circuit(id) != nullptr) fab_.disconnect(id);
@@ -476,11 +556,18 @@ ServingReport ServingSim::run() {
   report_.arrival_rate = params_.traffic.arrival_rate;
   setup_replicas();
   schedule_first_events();
-  engine_.run_until(TimePoint::at_seconds(params_.horizon.to_seconds() +
-                                          params_.drain.to_seconds()));
+  const TimePoint end =
+      TimePoint::at_seconds(params_.horizon.to_seconds() + params_.drain.to_seconds());
+  // Each arrival runs where the engine would have dispatched it, had it been
+  // scheduled when arm_arrival reserved its seq.
+  while (next_arrival_ && next_arrival_->when <= end) {
+    engine_.advance_to(next_arrival_->when, next_arrival_->seq);
+    arrival();
+  }
+  engine_.run_until(end);
 
   for (const Replica& rep : replicas_) {
-    report_.in_flight_at_end += rep.batch.size() + rep.queue.size();
+    report_.in_flight_at_end += rep.active + rep.queue.size();
   }
   if (!latencies_.empty()) {
     // Selection on a scratch copy: latencies_ stays in completion order.
@@ -522,9 +609,18 @@ ServingReport ServingSim::run() {
   return std::move(report_);
 }
 
+void check_params(const ServingParams& params) {
+  // The completion wheel files each sequence under its last round, and a
+  // sequence that never finishes prefilling has none.
+  if (params.prefill_chunk == 0) {
+    throw std::invalid_argument("ServingParams::prefill_chunk must be positive");
+  }
+}
+
 }  // namespace
 
 ServingReport run_serving(const ServingParams& params) {
+  check_params(params);
   ServingParams p = params;
   p.fabric.wafer.rows = static_cast<std::int32_t>(p.replicas);
   p.fabric.wafer.cols = static_cast<std::int32_t>(p.tiles_per_replica);
@@ -533,6 +629,7 @@ ServingReport run_serving(const ServingParams& params) {
 }
 
 ServingSweepReport run_serving_sweep(const ServingSweepConfig& config) {
+  check_params(config.base);  // before any worker can throw
   ServingSweepReport out;
   out.points.resize(config.arrival_rates.size());
   std::optional<util::ThreadPool> local;

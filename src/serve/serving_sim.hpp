@@ -47,7 +47,11 @@ struct ServingParams {
 
   /// Continuous batching: max concurrent sequences per replica.
   std::uint32_t batch_capacity{64};
-  /// Prompt tokens retired per sequence per round while prefilling.
+  /// Prompt tokens retired per sequence per round while prefilling; must be
+  /// positive (run_serving throws std::invalid_argument on 0).  Each replica
+  /// keeps one retirement slot per round of the longest possible request,
+  /// ceil(prefill_tokens_max / prefill_chunk) + decode_tokens_max, rounded
+  /// up to a power of two.
   std::uint32_t prefill_chunk{64};
   /// Round time = round_base + round_per_seq x active + max expert-send
   /// latency across the replica's tiles.
@@ -175,7 +179,7 @@ struct ServingSweepReport {
 
 /// Sweeps arrival rate vs SLO attainment.  Points run in parallel; point i
 /// uses task_seed(base.seed, i), so the report is bit-identical at any
-/// thread count.
+/// thread count.  Rejects `base` as run_serving does, before any point runs.
 [[nodiscard]] ServingSweepReport run_serving_sweep(const ServingSweepConfig& config);
 
 }  // namespace lp::serve

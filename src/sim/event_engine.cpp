@@ -105,6 +105,16 @@ void EventEngine::insert(double when, InlineHandler fn) {
   const std::uint64_t vb = virtual_bucket(when);
   const std::uint32_t idx = alloc_slot();
   std::uint32_t& head = heads_[vb & (nbuckets_ - 1)];
+  // Keep a located minimum current: the new event (the latest seq) takes
+  // over only if it is strictly earlier, and it becomes its bucket's head.
+  if (min_idx_ != kNil) {
+    if (when < at(min_idx_)->when) {
+      min_idx_ = idx;
+      min_prev_ = kNil;
+    } else if (head == min_idx_) {
+      min_prev_ = idx;
+    }
+  }
   ::new (static_cast<void*>(chunks_[idx >> kChunkShift][idx & kChunkMask].raw))
       Node{when, next_seq_++, head, std::move(fn)};
   head = idx;
@@ -117,6 +127,11 @@ void EventEngine::insert(double when, InlineHandler fn) {
 
 bool EventEngine::find_min(std::uint32_t* idx, std::uint32_t* prev) {
   if (size_ == 0) return false;
+  if (min_idx_ != kNil) {
+    *idx = min_idx_;
+    *prev = min_prev_;
+    return true;
+  }
   const std::size_t mask = nbuckets_ - 1;
   std::size_t scanned = 0;
   // Bound the empty-day scan: after a calendar year (or 4096 days, whichever
@@ -152,8 +167,8 @@ bool EventEngine::find_min(std::uint32_t* idx, std::uint32_t* prev) {
       i = n->next;
     }
     if (found) {
-      *idx = best;
-      *prev = best_prev;
+      *idx = min_idx_ = best;
+      *prev = min_prev_ = best_prev;
       return true;
     }
     ++cur_vb_;
@@ -180,6 +195,7 @@ void EventEngine::locate_min_day() {
 
 void EventEngine::resize(std::size_t nbuckets) {
   nbuckets = std::clamp(nbuckets, kMinBuckets, kMaxBuckets);
+  min_idx_ = kNil;  // every list is rebuilt
   // Collect every pending node index (scratch_ is reused across resizes).
   scratch_.clear();
   scratch_.reserve(size_);
@@ -267,6 +283,7 @@ void EventEngine::maybe_shrink() {
 }
 
 void EventEngine::dispatch(std::uint32_t idx, std::uint32_t prev) {
+  min_idx_ = kNil;  // before the handler can schedule
   Node* n = at(idx);
   if (prev == kNil) {
     heads_[virtual_bucket(n->when) & (nbuckets_ - 1)] = n->next;
@@ -283,12 +300,13 @@ void EventEngine::dispatch(std::uint32_t idx, std::uint32_t prev) {
   free_.push_back(idx);
 }
 
-std::size_t EventEngine::run(std::size_t max_events) {
+template <typename Due>
+std::size_t EventEngine::drain(std::size_t max_events, Due due) {
   std::size_t processed = 0;
   while (processed < max_events) {
     std::uint32_t idx = kNil;
     std::uint32_t prev = kNil;
-    if (!find_min(&idx, &prev)) break;
+    if (!find_min(&idx, &prev) || !due(*at(idx))) break;
     dispatch(idx, prev);
     ++processed;
     maybe_shrink();
@@ -296,18 +314,20 @@ std::size_t EventEngine::run(std::size_t max_events) {
   return processed;
 }
 
+std::size_t EventEngine::run(std::size_t max_events) {
+  return drain(max_events, [](const Node&) { return true; });
+}
+
 std::size_t EventEngine::run_until(TimePoint until) {
   const double deadline = until.to_seconds();
-  std::size_t processed = 0;
-  while (true) {
-    std::uint32_t idx = kNil;
-    std::uint32_t prev = kNil;
-    if (!find_min(&idx, &prev)) break;
-    if (at(idx)->when > deadline) break;
-    dispatch(idx, prev);
-    ++processed;
-    maybe_shrink();
-  }
+  return drain(SIZE_MAX, [deadline](const Node& n) { return n.when <= deadline; });
+}
+
+std::size_t EventEngine::advance_to(TimePoint when, std::uint64_t seq) {
+  const double t = when.to_seconds();
+  const std::size_t processed =
+      drain(SIZE_MAX, [t, seq](const Node& n) { return precedes(n.when, n.seq, t, seq); });
+  now_s_ = t;
   return processed;
 }
 

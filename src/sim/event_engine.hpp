@@ -37,6 +37,9 @@
 //     scheduled exactly at the deadline by other deadline events.
 //   * now() is the timestamp of the event being processed (or the last one
 //     processed); run_until never advances it past the last dispatch.
+//   * advance_to(when, seq) with a seq from reserve_seq() behaves as if the
+//     caller's event had been scheduled when the seq was taken and were
+//     being dispatched now.
 #pragma once
 
 #include <cstddef>
@@ -195,6 +198,17 @@ class EventEngine {
   /// Process events with timestamp <= `until`.
   std::size_t run_until(TimePoint until);
 
+  /// External events: a caller that keeps a stream of events outside the
+  /// queue (serve::ServingSim's open-loop arrivals) merges it into the
+  /// engine's order.  reserve_seq() takes the sequence number a
+  /// schedule_at() at this point would have given the event;
+  /// advance_to(when, seq) runs every pending event that precedes
+  /// (when, seq) in (when, seq) order — reentrant schedules included — then
+  /// sets now() to `when`, so the caller dispatches its event exactly where
+  /// the engine would have.  Returns the number of events processed.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  std::size_t advance_to(TimePoint when, std::uint64_t seq);
+
   /// Introspection for tests and the microbench: current bucket-array size
   /// and bucket width (seconds).
   [[nodiscard]] std::size_t bucket_count() const { return nbuckets_; }
@@ -237,7 +251,9 @@ class EventEngine {
   /// Locates the next event in (when, seq) order.  Advances the day cursor
   /// over empty days; never removes.  On success fills the winner's slab
   /// index and its list predecessor (kNil if it is the bucket head).
-  /// Returns false only when empty().
+  /// Returns false only when empty().  The answer is kept (min_idx_) until
+  /// a dispatch or resize, and insert keeps it current, so asking again
+  /// without dispatching (advance_to before an external event) is O(1).
   [[nodiscard]] bool find_min(std::uint32_t* idx, std::uint32_t* prev);
   /// Full scan for the global minimum; repositions the day cursor on its
   /// day.  Called when a whole calendar year of days turned up empty (the
@@ -251,6 +267,10 @@ class EventEngine {
   /// Dispatch event `idx` (list predecessor `prev`): unlink, invoke the
   /// handler in place, then free its slot.
   void dispatch(std::uint32_t idx, std::uint32_t prev);
+  /// Dispatches events in (when, seq) order while the next one is `due`,
+  /// at most `max_events`; the loop behind run, run_until and advance_to.
+  template <typename Due>
+  std::size_t drain(std::size_t max_events, Due due);
 
   /// Slab chunks after the first, and a bucket head array of 2 MiB or
   /// more, are 2 MiB-aligned allocations hinted MADV_HUGEPAGE on Linux: at
@@ -268,6 +288,9 @@ class EventEngine {
   double width_{1e-6};
   double inv_width_{1e6};  ///< 1/width_: map with a multiply, not a divide
   std::uint64_t cur_vb_{0};  ///< day cursor: the virtual bucket being drained
+  /// find_min's last answer and its list predecessor; kNil when unknown.
+  std::uint32_t min_idx_{kNil};
+  std::uint32_t min_prev_{kNil};
   std::size_t size_{0};
   std::uint64_t next_seq_{0};
   double now_s_{0.0};

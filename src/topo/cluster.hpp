@@ -94,7 +94,8 @@ class TpuCluster {
 
   [[nodiscard]] ChipState state(TpuId chip) const { return states_[static_cast<std::size_t>(chip)]; }
   /// Sets a chip's state.  The only writer of chip state: a real change
-  /// bumps its rack's version and keeps the free-chip index below current.
+  /// bumps its rack's version and the cluster's, and keeps the free-chip
+  /// index below current.
   void set_state(TpuId chip, ChipState s) {
     ChipState& cur = states_[static_cast<std::size_t>(chip)];
     if (cur == s) return;
@@ -102,6 +103,7 @@ class TpuCluster {
     cur = s;
     const RackId rack = chip / chips_per_rack();
     ++rack_versions_[static_cast<std::size_t>(rack)];
+    ++version_;
     if (was_free || s == ChipState::kFree) index_free(chip, rack, s == ChipState::kFree);
   }
   /// Changes whenever any chip of `rack` changes state: consumers that
@@ -109,6 +111,8 @@ class TpuCluster {
   [[nodiscard]] std::uint64_t rack_version(RackId rack) const {
     return rack_versions_[static_cast<std::size_t>(rack)];
   }
+  /// Changes whenever any chip of the cluster changes state.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   // --- free-chip index, kept current by set_state ---
 
@@ -164,6 +168,7 @@ class TpuCluster {
   Torus rack_torus_;
   std::vector<ChipState> states_;
   std::vector<std::uint64_t> rack_versions_;
+  std::uint64_t version_{0};
   std::size_t rack_words_;    ///< 64-bit words per rack free bitset
   std::size_t bucket_words_;  ///< 64-bit words per rack-id bitset
   std::vector<std::uint64_t> free_bits_;  ///< rack_words_ per rack

@@ -14,18 +14,6 @@ bool Slice::contains(Coord rack_coord) const {
   return true;
 }
 
-std::vector<Coord> Slice::coords() const {
-  std::vector<Coord> out;
-  out.reserve(static_cast<std::size_t>(shape.size()));
-  const Torus local{shape};
-  for (std::int32_t i = 0; i < shape.size(); ++i) {
-    Coord c = local.coord(i);
-    for (std::size_t d = 0; d < kDims; ++d) c[d] += offset[d];
-    out.push_back(c);
-  }
-  return out;
-}
-
 bool Slice::spans_dimension(std::size_t d, const Shape& rack_shape) const {
   return shape[d] == rack_shape[d];
 }
@@ -127,11 +115,11 @@ SliceId SliceAllocator::place(RackId rack, Coord offset, Shape shape) {
   s.rack = rack;
   s.offset = offset;
   s.shape = shape;
-  for (Coord c : s.coords()) {
+  s.for_each_coord([&](Coord c) {
     const TpuId chip = cluster_.chip_at(rack, c);
     cluster_.set_state(chip, ChipState::kAllocated);
     owner_[static_cast<std::size_t>(chip)] = s.id;
-  }
+  });
   slices_.push_back(s);
   live_.push_back(true);
   return s.id;
@@ -144,11 +132,12 @@ Result<SliceId> SliceAllocator::allocate_at(RackId rack, Coord offset, Shape sha
       return Err("slice does not fit in rack along dim " + std::to_string(d));
   }
   const Slice probe{-1, rack, offset, shape};
-  for (Coord c : probe.coords()) {
+  TpuId taken = -1;
+  probe.for_each_coord([&](Coord c) {
     const TpuId chip = cluster_.chip_at(rack, c);
-    if (cluster_.state(chip) != ChipState::kFree)
-      return Err("chip " + std::to_string(chip) + " is not free");
-  }
+    if (taken < 0 && cluster_.state(chip) != ChipState::kFree) taken = chip;
+  });
+  if (taken >= 0) return Err("chip " + std::to_string(taken) + " is not free");
   return place(rack, offset, shape);
 }
 
@@ -189,13 +178,13 @@ void SliceAllocator::release(SliceId id) {
       !live_[static_cast<std::size_t>(id)])
     return;
   const Slice& s = slices_[static_cast<std::size_t>(id)];
-  for (Coord c : s.coords()) {
+  s.for_each_coord([&](Coord c) {
     const TpuId chip = cluster_.chip_at(s.rack, c);
     // A failed chip stays failed when its slice goes away.
     if (cluster_.state(chip) == ChipState::kAllocated)
       cluster_.set_state(chip, ChipState::kFree);
     owner_[static_cast<std::size_t>(chip)] = -1;
-  }
+  });
   live_[static_cast<std::size_t>(id)] = false;
 }
 
@@ -231,11 +220,14 @@ Shape SliceAllocator::largest_placeable(RackId rack) const {
 }
 
 std::int32_t SliceAllocator::placeable_sum() const {
-  std::int32_t sum = 0;
-  for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
-    sum += largest_placeable(rack).size();
+  if (placeable_version_ != cluster_.version()) {
+    placeable_sum_ = 0;
+    for (RackId rack = 0; rack < cluster_.rack_count(); ++rack) {
+      placeable_sum_ += largest_placeable(rack).size();
+    }
+    placeable_version_ = cluster_.version();
   }
-  return sum;
+  return placeable_sum_;
 }
 
 FragmentationReport SliceAllocator::fragmentation() const {

@@ -30,8 +30,17 @@ struct Slice {
   /// True if the rack-space coordinate lies inside this slice.
   [[nodiscard]] bool contains(Coord rack_coord) const;
 
-  /// All rack-space coordinates of the slice, row-major over its shape.
-  [[nodiscard]] std::vector<Coord> coords() const;
+  /// Calls `f(Coord)` on each rack-space coordinate of the slice,
+  /// row-major over its shape.
+  template <typename F>
+  void for_each_coord(F&& f) const {
+    Coord c;
+    for (c[0] = offset[0]; c[0] < offset[0] + shape[0]; ++c[0]) {
+      for (c[1] = offset[1]; c[1] < offset[1] + shape[1]; ++c[1]) {
+        for (c[2] = offset[2]; c[2] < offset[2] + shape[2]; ++c[2]) f(c);
+      }
+    }
+  }
 
   /// Whether the slice spans the full rack extent in dimension `d` — the
   /// precondition for running a congestion-free direction-uniform ring in
@@ -138,6 +147,7 @@ class SliceAllocator {
 
   /// Sum over racks of the largest placeable volume: the numerator of
   /// FragmentationReport::stranding() without building the report.
+  /// Cached until any chip of the cluster changes state.
   [[nodiscard]] std::int32_t placeable_sum() const;
 
   /// Full free/fragmentation accounting, one entry per rack: only racks
@@ -180,6 +190,10 @@ class SliceAllocator {
   std::vector<Coord> offsets_;
   std::vector<std::uint64_t> masks_;    ///< words_ per offset
   mutable std::vector<LargestCache> largest_;  ///< per rack
+  /// placeable_sum(), valid while `placeable_version_` equals the
+  /// cluster's version().
+  mutable std::uint64_t placeable_version_{~std::uint64_t{0}};
+  mutable std::int32_t placeable_sum_{0};
   std::vector<Slice> slices_;
   std::vector<bool> live_;
   std::vector<std::int32_t> owner_;  ///< per chip, -1 = none

@@ -12,25 +12,20 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 
 #include "cluster/scheduler.hpp"
 #include "lightpath/types.hpp"
 #include "runtime/training_run.hpp"
+#include "report_fold.hpp"
 #include "serve/serving_sim.hpp"
 
 namespace lp {
 namespace {
 
-/// Order-sensitive fold over report fields.
-struct Fold {
-  std::uint64_t h{0xde7e2a1d15c0ffeeULL};
-  void add(std::uint64_t v) { h = fabric::hash_mix(h, v); }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-  void add(Duration d) { add(d.to_seconds()); }
-};
+constexpr std::uint64_t kFoldSeed = 0xde7e2a1d15c0ffeeULL;
+using Fold = test::Fold<kFoldSeed>;
 
 /// Folds the sweep at 1, 2 and 8 threads and expects one value.
 void expect_thread_invariant(const std::function<std::uint64_t(unsigned)>& sweep) {
@@ -119,27 +114,6 @@ TEST(Determinism, GraySweepAllKnobs) {
   EXPECT_GT(suppressed, 0u) << "the damped arm must suppress";
 }
 
-std::uint64_t fold_serving(const serve::ServingReport& r) {
-  Fold f;
-  f.add(r.arrival_rate);
-  for (std::uint64_t c :
-       {r.offered, r.completed, r.met_slo, r.abandoned, r.in_flight_at_end, r.rounds,
-        r.kv_migrations, r.expert_sends, r.send_failures, r.expert_ring_rounds,
-        r.kv_striped, r.fault_events, r.detections, r.repairs, r.repair_failures,
-        r.churn_flushes, r.replicas_offline, r.flap_episodes, r.flap_transitions,
-        r.flap_repairs, r.suppressed_repairs, r.quarantines,
-        r.transient_repair_failures, r.host.messages, r.host.hits, r.host.misses,
-        r.host.evictions, r.digest}) {
-    f.add(c);
-  }
-  for (Duration d : {r.stall_time, r.flap_stall, r.p50, r.p99, r.p999, r.max_latency,
-                     r.host.reconfig_time, r.host.transfer_time}) {
-    f.add(d);
-  }
-  for (double s : r.latencies) f.add(s);
-  return f.h;
-}
-
 TEST(Determinism, ServingSweepAllKnobs) {
   for (const bool hysteresis : {true, false}) {
     serve::ServingSweepConfig config;
@@ -165,7 +139,7 @@ TEST(Determinism, ServingSweepAllKnobs) {
       Fold f;
       faults = flaps = 0;
       for (const serve::ServingReport& r : report.points) {
-        f.add(fold_serving(r));
+        f.add(test::fold_serving<kFoldSeed>(r));
         faults += r.fault_events;
         flaps += r.flap_transitions;
       }

@@ -217,6 +217,28 @@ TEST(EventEngine, ArmSchedulesOnlyStrictlyBeforeTheHorizon) {
   EXPECT_TRUE(q.empty());
 }
 
+// An external event sits between the events scheduled before and after its
+// seq was reserved, at the same timestamp, and now() reads its time.
+TEST(EventEngine, AdvanceToStopsAtTheExternalSeq) {
+  EventEngine q;
+  std::vector<int> order;
+  q.schedule_at(TimePoint::at_seconds(1.0), [&] { order.push_back(1); });
+  q.schedule_at(TimePoint::at_seconds(2.0), [&] { order.push_back(2); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule_at(TimePoint::at_seconds(2.0), [&] { order.push_back(4); });
+  q.schedule_at(TimePoint::at_seconds(0.5), [&] {
+    order.push_back(0);
+    // A reentrant schedule that still precedes the external event runs too.
+    q.schedule_at(TimePoint::at_seconds(1.5), [&] { order.push_back(3); });
+  });
+  EXPECT_EQ(q.advance_to(TimePoint::at_seconds(2.0), seq), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 2}));
+  EXPECT_EQ(q.now(), TimePoint::at_seconds(2.0));
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_EQ(order.back(), 4);
+}
+
 // --- Randomized differential suite: engine vs reference heap ---------------
 //
 // Each case drives both implementations through an identical randomized
@@ -309,6 +331,99 @@ TEST(EventEngineDifferential, MatchesReferenceHeapOver200Cases) {
     ASSERT_EQ(heap.final_now, engine.final_now) << "case " << c;
     ASSERT_EQ(heap.leftover, engine.leftover) << "case " << c;
   }
+}
+
+// An external stream merged through reserve_seq/advance_to, as
+// serve::ServingSim runs its arrivals.  Each external event is bracketed by
+// queue events at exactly its timestamp, one scheduled just before its seq
+// was reserved and one just after, and queue handlers schedule children at
+// now() and a grid step ahead, so ties fall on both sides of the external
+// seq at every dispatch.
+struct ExternalCase {
+  std::vector<int> order;  ///< external events as -(k + 1)
+  std::vector<double> when;
+  std::size_t processed{0};
+  std::size_t leftover{0};
+  /// External events with a queue event of the same timestamp dispatched
+  /// right before / right after them.
+  std::size_t ties_before{0};
+  std::size_t ties_after{0};
+
+  bool operator==(const ExternalCase&) const = default;
+};
+
+template <typename Queue>
+ExternalCase run_external_case(std::uint64_t seed) {
+  Rng rng{seed};
+  Queue q;
+  ExternalCase out;
+  int next_id = 0;
+  const double step = rng.uniform() < 0.5 ? 1e-6 : 0.25;
+  auto grid = [step](std::uint64_t k) { return static_cast<double>(k) * step; };
+
+  std::function<void(int, int)> body = [&](int id, int depth) {
+    out.order.push_back(id);
+    out.when.push_back(q.now().to_seconds());
+    if (depth >= 2) return;
+    Rng child{seed ^ (std::uint64_t{0xbf58476d1ce4e5b9} *
+                      static_cast<std::uint64_t>(id + 1))};
+    for (std::uint64_t k = child.uniform_index(3); k > 0; --k) {
+      const int kid = next_id++;
+      const TimePoint t = q.now() + Duration::seconds(grid(child.uniform_index(3)));
+      q.schedule_at(t, [&body, kid, depth] { body(kid, depth + 1); });
+    }
+  };
+  auto schedule = [&](double t) {
+    const int id = next_id++;
+    q.schedule_at(TimePoint::at_seconds(t), [&body, id] { body(id, 0); });
+  };
+
+  for (std::size_t i = 8 + rng.uniform_index(24); i > 0; --i) {
+    schedule(grid(rng.uniform_index(32)));
+  }
+
+  double ext_when = grid(rng.uniform_index(4));
+  schedule(ext_when);
+  std::uint64_t ext_seq = q.reserve_seq();
+  schedule(ext_when);
+  const int externals = 8 + static_cast<int>(rng.uniform_index(24));
+  for (int k = 0; k < externals; ++k) {
+    out.processed += q.advance_to(TimePoint::at_seconds(ext_when), ext_seq);
+    out.order.push_back(-(k + 1));
+    out.when.push_back(q.now().to_seconds());
+    // The external handler schedules like any other, then reserves the next
+    // external seq between two events at the next external time.
+    if (rng.uniform() < 0.5) schedule(q.now().to_seconds());
+    ext_when = q.now().to_seconds() + grid(rng.uniform_index(3));
+    schedule(ext_when);
+    ext_seq = q.reserve_seq();
+    schedule(ext_when);
+  }
+  out.processed += q.run();
+  out.leftover = q.pending();
+  for (std::size_t i = 0; i < out.order.size(); ++i) {
+    if (out.order[i] >= 0) continue;
+    if (i > 0 && out.order[i - 1] >= 0 && out.when[i - 1] == out.when[i]) ++out.ties_before;
+    if (i + 1 < out.order.size() && out.order[i + 1] >= 0 && out.when[i + 1] == out.when[i]) {
+      ++out.ties_after;
+    }
+  }
+  return out;
+}
+
+TEST(EventEngineDifferential, AdvanceToMatchesReferenceHeap) {
+  std::size_t ties_before = 0;
+  std::size_t ties_after = 0;
+  for (std::uint64_t c = 0; c < 200; ++c) {
+    const std::uint64_t seed = util::task_seed(0xadf0a2d5, c);
+    const ExternalCase heap = run_external_case<EventQueue>(seed);
+    const ExternalCase engine = run_external_case<EventEngine>(seed);
+    ASSERT_EQ(heap, engine) << "case " << c;
+    ties_before += heap.ties_before;
+    ties_after += heap.ties_after;
+  }
+  EXPECT_GT(ties_before, 100u);
+  EXPECT_GT(ties_after, 100u);
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 //
 // A binary heap of std::function closures with the engine's exact
 // observable contract: timestamp order, FIFO tie-break at equal times,
-// reentrant scheduling and run_until's <=-deadline semantics.  The library
-// runs every simulator on the calendar-queue sim::EventEngine; this header
-// lives with the tests as the oracle of the randomized differential test in
-// event_engine_test.cpp, and as the heap baseline in bench_event_queue.
+// reentrant scheduling, run_until's <=-deadline semantics and advance_to's
+// external events.  The library runs every simulator on the calendar-queue
+// sim::EventEngine; this header lives with the tests as the oracle of the
+// randomized differential test in event_engine_test.cpp, and as the heap
+// baseline in bench_event_queue.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,21 @@ class EventQueue {
       dispatch_top();
       ++processed;
     }
+    return processed;
+  }
+
+  /// The sequence number the next schedule_at() would take.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Runs every event that precedes (when, seq), then sets now() to `when`.
+  std::size_t advance_to(TimePoint when, std::uint64_t seq) {
+    std::size_t processed = 0;
+    while (!heap_.empty() && (heap_.top().when < when ||
+                              (heap_.top().when == when && heap_.top().seq < seq))) {
+      dispatch_top();
+      ++processed;
+    }
+    now_ = when;
     return processed;
   }
 

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -211,6 +212,18 @@ TEST(Serving, DefaultWaferIsResizedToFitReplicas) {
     EXPECT_EQ(implicit.send_failures, 0u) << replicas << "x" << tiles;
     EXPECT_EQ(implicit.digest, explicit_shape.digest) << replicas << "x" << tiles;
   }
+}
+
+// A round must retire at least one prompt token: a zero chunk would leave
+// prefilling sequences resident forever.
+TEST(Serving, RejectsZeroPrefillChunk) {
+  ServingParams p = small_params();
+  p.prefill_chunk = 0;
+  EXPECT_THROW((void)run_serving(p), std::invalid_argument);
+  ServingSweepConfig sweep;
+  sweep.base = p;
+  sweep.arrival_rates = {10e3, 20e3};
+  EXPECT_THROW((void)run_serving_sweep(sweep), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "topo/cluster.hpp"
 #include "topo/slice.hpp"
@@ -130,7 +131,27 @@ TEST(Slice, ContainsAndCoords) {
   EXPECT_TRUE(s.contains(Coord{{3, 3, 3}}));
   EXPECT_FALSE(s.contains(Coord{{0, 1, 3}}));
   EXPECT_FALSE(s.contains(Coord{{0, 2, 2}}));
-  EXPECT_EQ(s.coords().size(), 8u);
+  int visited = 0;
+  s.for_each_coord([&](Coord c) {
+    EXPECT_TRUE(s.contains(c));
+    ++visited;
+  });
+  EXPECT_EQ(visited, 8);
+}
+
+// for_each_coord is row-major over the slice's shape: the allocator's
+// chip-marking order, and with it every cluster digest, depends on it.
+TEST(Slice, ForEachCoordVisitsRowMajor) {
+  const Slice s{0, 0, Coord{{1, 2, 0}}, Shape{{2, 2, 3}}};
+  const Torus local{s.shape};
+  std::vector<Coord> visited;
+  s.for_each_coord([&](Coord c) { visited.push_back(c); });
+  ASSERT_EQ(visited.size(), 12u);
+  for (std::int32_t i = 0; i < local.size(); ++i) {
+    Coord want = local.coord(i);
+    for (std::size_t d = 0; d < kDims; ++d) want[d] += s.offset[d];
+    EXPECT_EQ(visited[static_cast<std::size_t>(i)], want) << i;
+  }
 }
 
 TEST(Slice, SpansDimension) {
